@@ -85,6 +85,37 @@ _BARY_W = np.array(
 )
 
 
+def _interp(values: np.ndarray, edges: np.ndarray, xs: np.ndarray,
+            cells: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation of per-cell Gauss values at points xs.
+
+    values has shape (n, 6); cells holds the cell of each point.  A point
+    within 1e-14 (reference coordinates) of a Gauss node, placed in floats
+    exactly as the mesh geometry places it, takes that node's value exactly.
+    The arithmetic is real and elementwise, so a point gets the same bits
+    whatever array it is evaluated in.
+    """
+    lo, hi = edges[cells], edges[cells + 1]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _G6_NODES
+    diff = (xs[:, None] - nodes) / half[:, None]
+    hit = np.argmin(np.abs(diff), axis=1)
+    exact = np.abs(diff[np.arange(len(xs)), hit]) < 1e-14
+    diff[exact] = 1.0  # these rows take the node value below
+    wts = _BARY_W / diff
+    re, im = values.real[cells], values.imag[cells]
+    num_re, num_im, den = wts[:, 0] * re[:, 0], wts[:, 0] * im[:, 0], wts[:, 0]
+    for a in range(1, 6):
+        num_re = num_re + wts[:, a] * re[:, a]
+        num_im = num_im + wts[:, a] * im[:, a]
+        den = den + wts[:, a]
+    out = np.empty(len(xs), dtype=complex)
+    out.real = num_re / den
+    out.imag = num_im / den
+    out[exact] = values[cells[exact], hit[exact]]
+    return out
+
+
 def cube_root(lam: complex) -> complex:
     """Principal cube root; every exported quantity is branch-invariant."""
     lam = complex(lam)
@@ -486,14 +517,14 @@ class SolutionPath:
 
     nodes are the mesh edges; y and yprime are continuous, w_post carries the
     right-continuous value and w_pre the left limit (they differ only at
-    atoms).  Off-node evaluation interpolates the internal Gauss values.
+    atoms).  eval_y, eval_yprime and eval_w take a point or an array of
+    points in [0, 1]; off-node points interpolate the internal Gauss values.
     """
 
     def __init__(self, lam, init, geo, y_node, y_edge, yp_node, yp_edge,
                  w_node, w_edge, n_terms, extra_jumps=()):
         self.lam = complex(lam)
         self.init = init
-        self._geo = geo
         self.nodes = geo.edges
         self.y = y_edge
         self.yprime = yp_edge
@@ -535,48 +566,42 @@ class SolutionPath:
 
     # -- evaluation --------------------------------------------------------
 
-    def _interp(self, values, x: float) -> complex:
-        if not 0.0 <= x <= 1.0:
-            raise BadArgumentError(f"evaluation point {x} outside [0, 1]")
-        i = min(int(np.searchsorted(self.nodes, x, side="right")) - 1,
-                len(self.nodes) - 2)
-        lo, hi = self.nodes[i], self.nodes[i + 1]
-        xi = 2.0 * (x - lo) / (hi - lo) - 1.0
-        diff = xi - _G6_NODES
-        hit = int(np.argmin(np.abs(diff)))
-        if abs(diff[hit]) < 1e-14:
-            return complex(values[i, hit])
-        wts = _BARY_W / diff
-        return complex(np.dot(wts, values[i]) / np.sum(wts))
+    def _eval(self, channel: int, x, side: str = "right"):
+        """Channel 0, 1, 2 (y, y', w) at a scalar or an array of points.
 
-    def _edge_index(self, x: float):
-        i = int(np.searchsorted(self.nodes, x))
-        if i < len(self.nodes) and self.nodes[i] == x:
-            return i
-        return None
-
-    def eval_y(self, x: float) -> complex:
-        i = self._edge_index(x)
-        return complex(self.y[i]) if i is not None else self._interp(self._y_node, x)
-
-    def eval_yprime(self, x: float) -> complex:
-        i = self._edge_index(x)
-        if i is not None:
-            return complex(self.yprime[i])
-        return self._interp(self._yp_node, x)
-
-    def eval_w(self, x: float, side: str = "right") -> complex:
+        A scalar returns a complex, an array an ndarray of its shape.
+        """
         if side not in ("right", "left"):
             raise BadArgumentError("side must be 'right' or 'left'")
-        i = self._edge_index(x)
-        if i is not None:
-            return complex(self.w_post[i] if side == "right" else self.w_pre[i])
-        return self._interp(self._w_node, x)
+        xs = np.asarray(x, dtype=float)
+        inside = (xs >= 0.0) & (xs <= 1.0)
+        if not np.all(inside):
+            bad = xs[~inside].flat[0] if xs.ndim else xs
+            raise BadArgumentError(f"evaluation point {bad} outside [0, 1]")
+        out = self._values(channel, xs.ravel(), side).reshape(xs.shape)
+        return complex(out) if xs.ndim == 0 else out
 
-    def gauss_data(self):
-        """Internal Gauss nodes, weights and (y, y', w) values there."""
-        return (self._geo.tg, self._geo.gw, self._y_node, self._yp_node,
-                self._w_node)
+    def _values(self, channel: int, xs: np.ndarray, side: str) -> np.ndarray:
+        """Edge values at mesh edges, interpolated Gauss values elsewhere."""
+        edge_vals = (self.y, self.yprime,
+                     self.w_post if side == "right" else self.w_pre)[channel]
+        node_vals = (self._y_node, self._yp_node, self._w_node)[channel]
+        j = np.searchsorted(self.nodes, xs)  # nodes end at 1.0: j stays in range
+        on_edge = self.nodes[j] == xs
+        out = np.empty(len(xs), dtype=complex)
+        out[on_edge] = edge_vals[j[on_edge]]
+        off = ~on_edge
+        out[off] = _interp(node_vals, self.nodes, xs[off], j[off] - 1)
+        return out
+
+    def eval_y(self, x):
+        return self._eval(0, x)
+
+    def eval_yprime(self, x):
+        return self._eval(1, x)
+
+    def eval_w(self, x, side: str = "right"):
+        return self._eval(2, x, side)
 
     def to_rows(self):
         """Output rows (x, y, y', w, is_atom); atoms produce pre then post."""
@@ -732,44 +757,65 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
     return f_r * eye + fp_r * B + c2 * (B @ B)
 
 
-class _TransferEvaluator:
-    """Post-jump states at segment starts; evaluates the exact state anywhere."""
+class TransferPath(SolutionPath):
+    """Exact path for purely atomic (p, q), propagated segment by segment.
+
+    Holds the post-jump state at each segment start (0 and every interior
+    atom) and propagates from the nearest start to any point; the edge
+    arrays sample a uniform 129-point grid joined with the atoms.  It has
+    no mesh, so it fills the public attributes itself instead of calling
+    the mesh constructor.
+    """
 
     def __init__(self, p: Measure, q: Measure, lam: complex,
                  init: InitialTriple):
-        self.q = q
-        self.lam = lam
-        self.atom_xs = sorted(
+        self.lam = complex(lam)
+        self.init = init
+        self.n_terms = 0
+        self._q = q
+        atom_xs = sorted(
             {a.x for a in p.atoms if a.x > 0} | {a.x for a in q.atoms if a.x > 0}
         )
-        self.seg_starts = np.array([0.0] + self.atom_xs)
-        states = []
+        self._starts = np.array([0.0] + atom_xs)
+        self._states = []
         state = init.as_vector()
-        for i, start in enumerate(self.seg_starts):
+        for i, start in enumerate(self._starts):
             if i > 0:
                 d_conj = q.atom_weight(start) - 1j * p.atom_weight(start)
                 state = state.copy()
                 state[2] -= state[0] * d_conj
-            states.append(state)
-            end = self.seg_starts[i + 1] if i + 1 < len(self.seg_starts) else 1.0
+            self._states.append(state)
+            end = self._starts[i + 1] if i + 1 < len(self._starts) else 1.0
             if end > start:
                 q_c = q.drift(0.5 * (start + end))
-                state = _propagator(q_c, lam, end - start) @ state
-        self.states = states
+                state = _propagator(q_c, self.lam, end - start) @ state
+        self.nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 129)) | set(atom_xs)))
+        post = np.array([self._state(float(x), "right") for x in self.nodes])
+        self.y, self.yprime, self.w_post = post.T.copy()
+        self.w_pre = self.w_post.copy()
+        self.jumps = []
+        for i, x in enumerate(self.nodes):
+            if x in atom_xs:
+                self.w_pre[i] = self._state(float(x), "left")[2]
+                self.jumps.append((float(x), complex(self.w_post[i] - self.w_pre[i])))
 
-    def state_at(self, x: float, side: str = "right") -> np.ndarray:
-        i = int(np.searchsorted(self.seg_starts, x, side="right")) - 1
-        if side == "left" and i > 0 and self.seg_starts[i] == x:
+    def _state(self, x: float, side: str) -> np.ndarray:
+        i = int(np.searchsorted(self._starts, x, side="right")) - 1
+        if side == "left" and i > 0 and self._starts[i] == x:
             i -= 1
-        start = self.seg_starts[i]
+        start = self._starts[i]
         if x == start:
-            return self.states[i]
-        q_c = self.q.drift(0.5 * (start + x))
-        return _propagator(q_c, self.lam, x - start) @ self.states[i]
+            return self._states[i]
+        q_c = self._q.drift(0.5 * (start + x))
+        return _propagator(q_c, self.lam, x - start) @ self._states[i]
+
+    def _values(self, channel: int, xs: np.ndarray, side: str) -> np.ndarray:
+        return np.array([self._state(float(x), side)[channel] for x in xs],
+                        dtype=complex)
 
 
 def solve_transfer(p: Measure, q: Measure, lam: complex,
-                   init: InitialTriple) -> SolutionPath:
+                   init: InitialTriple) -> TransferPath:
     """Exact segment-by-segment propagation for purely atomic (p, q)."""
     if not (p.is_atomic and q.is_atomic):
         raise UnsupportedMeasureError(
@@ -780,40 +826,7 @@ def solve_transfer(p: Measure, q: Measure, lam: complex,
         raise BadArgumentError("lambda must be finite")
     if not isinstance(init, InitialTriple):
         init = InitialTriple(*init)
-    ev = _TransferEvaluator(p, q, lam, init)
-    nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 129)) | set(ev.atom_xs)))
-    atom_set = set(ev.atom_xs)
-    n = len(nodes)
-    y = np.empty(n, complex)
-    yp = np.empty(n, complex)
-    w_post = np.empty(n, complex)
-    w_pre = np.empty(n, complex)
-    for i, x in enumerate(nodes):
-        s = ev.state_at(float(x))
-        y[i], yp[i], w_post[i] = s
-        w_pre[i] = (
-            ev.state_at(float(x), side="left")[2] if x in atom_set else w_post[i]
-        )
-    path = SolutionPath.__new__(SolutionPath)
-    path.lam = lam
-    path.init = init
-    path._geo = None
-    path.nodes = nodes
-    path.y = y
-    path.yprime = yp
-    path.w_post = w_post
-    path.w_pre = w_pre
-    path.jumps = [
-        (float(x), complex(w_post[i] - w_pre[i]))
-        for i, x in enumerate(nodes)
-        if x in atom_set
-    ]
-    path.n_terms = 0
-    path._y_node = path._yp_node = path._w_node = None
-    path.eval_y = lambda x: complex(ev.state_at(float(x))[0])
-    path.eval_yprime = lambda x: complex(ev.state_at(float(x))[1])
-    path.eval_w = lambda x, side="right": complex(ev.state_at(float(x), side)[2])
-    return path
+    return TransferPath(p, q, lam, init)
 
 
 # ---------------------------------------------------------------------------

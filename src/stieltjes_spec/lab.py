@@ -161,10 +161,7 @@ def weakstar_eig(builder, m_values, limit: Measure, fixed: Measure,
 
 
 def _channel_arrays(path, xs):
-    y = np.array([path.eval_y(float(x)) for x in xs])
-    yp = np.array([path.eval_yprime(float(x)) for x in xs])
-    w = np.array([path.eval_w(float(x), "right") for x in xs])
-    return y, yp, w
+    return path.eval_y(xs), path.eval_yprime(xs), path.eval_w(xs, "right")
 
 
 def solution_continuity(p0: Measure, q0: Measure, perturbations, lams,

@@ -21,20 +21,47 @@ The integrals run over [0, x], except that a point mass sitting exactly at
 so an origin atom reaches neither the jump channel nor the drift; it cannot
 move N or the spectrum, and every derivative along such a direction is 0.
 
+All four integrals use one fixed rule: the cells of the solution mesh up to
+x, cut at the breakpoints of nu, carry the mesh's 6-point Gauss rule, and
+the atoms of nu in (0, x] are added as point values.  Each integrand is
+smooth on every such cell, so no adaptive refinement is needed; where nu
+adds no cut, the Gauss points are the solver's own nodes and the rule reads
+the stored node values.
+
 fd_check compares each formula with centered finite differences, tracking
 the perturbed eigenvalue inside its own lattice window.
+
+Working range of the matrix formulas: they agree with finite differences to
+about 1e-10 (relative to the largest entry) for |lambda| <= 300, and are
+validated only there.  Above it they drift, for reasons not yet verified.
+On the ROADMAP problem (p = atom(0.4, 0.3), q = atom(0.5, 0.7) + 0.5 dx)
+in the q channel along atom-plus-density directions, the relative error is
+about 1.5e-5 at lambda = 2000 and 8e-4 to 3e-3 at 3000.  It is the same for solver
+tol 1e-9 and 1e-11 and for finite-difference steps 1e-3 to 1e-5.  Under
+mesh doubling (256, 512, 1024 cells) it falls for some directions (2.7e-3,
+9.8e-4, 5.8e-4) and stays flat for others (1.2e-3, 9.7e-4, 1.0e-3), and a
+1e-15 relative change in the rows (interpolated instead of stored node
+values) moves it by a third.  The p channel at lambda = 3000 stays at 3e-9
+to 6e-9 along an atom at 0.3 and density 1 on [0.2, 0.7), and reaches 1e-7
+along an atom at 0.6.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadArgumentError, UnsupportedMultiplicityError
-from .ivp import FundamentalPath, SolverConfig, Workspace, _adjugate_column3
-from .measure import Measure, ls_integral
+from .ivp import (
+    _G6_NODES,
+    _G6_WEIGHTS,
+    FundamentalPath,
+    SolverConfig,
+    Workspace,
+    _adjugate_column3,
+)
+from .measure import Measure
 from .spectrum import (
     Eigenpair,
     SpectrumConfig,
@@ -59,40 +86,46 @@ def _require_simple(pair: Eigenpair):
         )
 
 
-def eigenvalue_gradient_p(pair: Eigenpair, nu: Measure,
-                          tol: float = 1e-10) -> float:
-    """Directional derivative of the eigenvalue when nu is added to p."""
-    _require_simple(pair)
-    e = pair.E
+def _rule(nodes: np.ndarray, nu: Measure, x: float):
+    """Points and weights of the one quadrature every formula uses.
 
-    def density(t):
-        return abs(e.eval_y(float(t))) ** 2
-
-    return ls_integral(density, nu, 1.0, include_zero_atom=False, tol=tol)
-
-
-def eigenvalue_gradient_q(pair: Eigenpair, nu: Measure,
-                          tol: float = 1e-10) -> float:
-    """Directional derivative of the eigenvalue when nu is added to q.
-
-    The integrand carries the drift action nu(t) of the direction, which
-    jumps at atoms of nu, so the integral is split there to keep each
-    adaptive domain smooth.
+    The path's cells up to x, cut at the breakpoints of nu, each carry the
+    mesh's 6-point Gauss rule; the atoms of nu in (0, x] follow as points of
+    their own (an origin atom never enters).  Returns the points, their
+    weights against d(nu), and their weights against nu(t) dt, which the
+    atoms do not carry.
     """
+    inner = [b for b in nu.breakpoints() if 0.0 < b < x]
+    cuts = np.union1d(nodes[nodes < x], inner + [x])
+    h = np.diff(cuts)
+    tg = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + 0.5 * h[:, None] * _G6_NODES
+    tg = tg.ravel()
+    gw = (0.5 * h[:, None] * _G6_WEIGHTS).ravel()
+    atoms = [a for a in nu.atoms if 0.0 < a.x <= x]
+    t = np.concatenate([tg, [a.x for a in atoms]])
+    w_nu = np.concatenate([gw * nu.density_many(tg), [a.w for a in atoms]])
+    w_drift = np.concatenate([gw * nu.drift_many(tg), np.zeros(len(atoms))])
+    return t, w_nu, w_drift
+
+
+def _eigenvalue_gradient(pair: Eigenpair, nu: Measure, channel: str) -> float:
     _require_simple(pair)
     e = pair.E
+    t, w_nu, w_drift = _rule(e.nodes, nu, 1.0)
+    y = e.eval_y(t)
+    if channel == "p":
+        return float(np.dot(w_nu, np.abs(y) ** 2))
+    return float(np.dot(w_drift, -2.0 * (y.conjugate() * e.eval_yprime(t)).imag))
 
-    def weighted(t):
-        t = float(t)
-        g = -2.0 * (e.eval_y(t).conjugate() * e.eval_yprime(t)).imag
-        return nu.drift(t) * g
 
-    cuts = sorted({0.0, 1.0} | {b for b in nu.breakpoints() if 0.0 < b < 1.0})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        segment = Measure.from_density(lo, hi, (1.0,))
-        total += ls_integral(weighted, segment, 1.0, tol=tol)
-    return total
+def eigenvalue_gradient_p(pair: Eigenpair, nu: Measure) -> float:
+    """Directional derivative of the eigenvalue when nu is added to p."""
+    return _eigenvalue_gradient(pair, nu, "p")
+
+
+def eigenvalue_gradient_q(pair: Eigenpair, nu: Measure) -> float:
+    """Directional derivative of the eigenvalue when nu is added to q."""
+    return _eigenvalue_gradient(pair, nu, "q")
 
 
 # ---------------------------------------------------------------------------
@@ -106,82 +139,34 @@ def _nu_workspace(p, q, nu, x):
     return Workspace(p, q, extra_breakpoints=tuple(extras))
 
 
-def _row_stacks(fp: FundamentalPath):
-    y_rows = np.stack([c._y_node for c in fp.columns], axis=-1)
-    yp_rows = np.stack([c._yp_node for c in fp.columns], axis=-1)
-    return y_rows, yp_rows
-
-
-def _edge_rows(fp: FundamentalPath, idx: int):
-    y = np.array([c.y[idx] for c in fp.columns])
-    yp = np.array([c.yprime[idx] for c in fp.columns])
-    return y, yp
-
-
-def _atom_term(fp: FundamentalPath, nu: Measure, x: float) -> np.ndarray:
-    geo = fp._geo
-    out = np.zeros((3, 3), dtype=complex)
-    for atom in nu.atoms:
-        # a point mass exactly at 0 never enters the dynamics (the induced
-        # function is pinned to 0 there), so it cannot move N either
-        if atom.x == 0.0 or atom.x > x:
-            continue
-        idx = int(np.searchsorted(geo.edges, atom.x))
-        if idx >= len(geo.edges) or geo.edges[idx] != atom.x:
-            raise BadArgumentError(
-                f"perturbation atom at {atom.x} missing from the mesh")
-        y, yp = _edge_rows(fp, idx)
-        out += atom.w * np.outer(_adjugate_column3(y, yp), y)
-    return out
-
-
-def _cell_cut(geo, x: float) -> int:
-    cut = int(np.searchsorted(geo.edges, x))
-    if not math.isclose(float(geo.edges[cut]), x, abs_tol=1e-14):
-        raise BadArgumentError(f"evaluation point {x} missing from the mesh")
-    return cut
+def _fundamental_gradient(p, q, lam, nu, x, cfg, channel) -> np.ndarray:
+    if not 0.0 < x <= 1.0:
+        raise BadArgumentError(f"evaluation point {x} outside (0, 1]")
+    cfg = cfg or SolverConfig()
+    fp = FundamentalPath(p, q, lam, cfg, _nu_workspace(p, q, nu, x))
+    t, w_nu, w_drift = _rule(fp.columns[0].nodes, nu, x)
+    y_rows = np.stack([c.eval_y(t) for c in fp.columns], axis=-1)
+    yp_rows = np.stack([c.eval_yprime(t) for c in fp.columns], axis=-1)
+    adj = _adjugate_column3(y_rows, yp_rows)
+    acc = np.einsum("g,gi,gj->ij", w_nu, adj, y_rows)
+    if channel == "p":
+        return 1j * (fp.matrix(x) @ acc)
+    slide = np.einsum("g,gi,gj->ij", w_drift, adj, yp_rows)
+    return -(fp.matrix(x) @ (acc + 2.0 * slide))
 
 
 def fundamental_gradient_p(p: Measure, q: Measure, lam: complex, nu: Measure,
                            x: float = 1.0,
                            cfg: SolverConfig | None = None) -> np.ndarray:
     """Directional derivative of N(x) when nu is added to p."""
-    if not 0.0 < x <= 1.0:
-        raise BadArgumentError(f"evaluation point {x} outside (0, 1]")
-    cfg = cfg or SolverConfig()
-    fp = FundamentalPath(p, q, lam, cfg, _nu_workspace(p, q, nu, x))
-    geo = fp._geo
-    cut = _cell_cut(geo, x)
-    y_rows, yp_rows = _row_stacks(fp)
-    adj = _adjugate_column3(y_rows, yp_rows)
-    kernel = np.einsum("cgi,cgj->cgij", adj, y_rows)
-    dens = nu.density_many(geo.tg.ravel()).reshape(geo.tg.shape)
-    acc = np.einsum("cg,cg,cgij->ij", geo.gw[:cut], dens[:cut], kernel[:cut])
-    acc = acc + _atom_term(fp, nu, x)
-    return 1j * (fp.matrix(x) @ acc)
+    return _fundamental_gradient(p, q, lam, nu, x, cfg, "p")
 
 
 def fundamental_gradient_q(p: Measure, q: Measure, lam: complex, nu: Measure,
                            x: float = 1.0,
                            cfg: SolverConfig | None = None) -> np.ndarray:
     """Directional derivative of N(x) when nu is added to q."""
-    if not 0.0 < x <= 1.0:
-        raise BadArgumentError(f"evaluation point {x} outside (0, 1]")
-    cfg = cfg or SolverConfig()
-    fp = FundamentalPath(p, q, lam, cfg, _nu_workspace(p, q, nu, x))
-    geo = fp._geo
-    cut = _cell_cut(geo, x)
-    y_rows, yp_rows = _row_stacks(fp)
-    adj = _adjugate_column3(y_rows, yp_rows)
-    kernel = np.einsum("cgi,cgj->cgij", adj, y_rows)
-    dens = nu.density_many(geo.tg.ravel()).reshape(geo.tg.shape)
-    acc = np.einsum("cg,cg,cgij->ij", geo.gw[:cut], dens[:cut], kernel[:cut])
-    acc = acc + _atom_term(fp, nu, x)
-    drift = np.einsum("cgi,cgj->cgij", adj, yp_rows)
-    induced = nu.drift_many(geo.tg.ravel()).reshape(geo.tg.shape)
-    slide = np.einsum("cg,cg,cgij->ij", geo.gw[:cut], induced[:cut],
-                      drift[:cut])
-    return -(fp.matrix(x) @ (acc + 2.0 * slide))
+    return _fundamental_gradient(p, q, lam, nu, x, cfg, "q")
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +187,8 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     cfg = cfg or SpectrumConfig()
     ws = _nu_workspace(p, q, nu, 1.0)
     base = find_eigenvalue(p, q, xi, n, cfg, ws)
-    if channel == "p":
-        formula = eigenvalue_gradient_p(base, nu)
-    else:
-        formula = eigenvalue_gradient_q(base, nu)
+    gradient = eigenvalue_gradient_p if channel == "p" else eigenvalue_gradient_q
+    formula = gradient(base, nu)
     rows = []
     for eps in epsilons:
         eps = float(eps)
@@ -214,12 +197,9 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
         lams = []
         for side in (eps, -eps):
             bumped = nu.scaled(side)
-            if channel == "p":
-                f = _root_fn(p.plus(bumped), q, xi, cfg,
-                             Workspace(p.plus(bumped), q))
-            else:
-                f = _root_fn(p, q.plus(bumped), xi, cfg,
-                             Workspace(p, q.plus(bumped)))
+            pp = p.plus(bumped) if channel == "p" else p
+            qq = q.plus(bumped) if channel == "q" else q
+            f = _root_fn(pp, qq, xi, cfg, Workspace(pp, qq))
             lams.append(_track_root(f, base.k, cfg) ** 3)
         fd = (lams[0] - lams[1]) / (2.0 * eps)
         rows.append(FdRow(eps, fd, formula, abs(fd - formula)))
@@ -239,10 +219,8 @@ def fundamental_fd_check(p: Measure, q: Measure, lam: complex, nu: Measure,
     if epsilon <= 0:
         raise BadArgumentError("finite difference steps must be positive")
     cfg = cfg or SolverConfig()
-    if channel == "p":
-        formula = fundamental_gradient_p(p, q, lam, nu, x, cfg)
-    else:
-        formula = fundamental_gradient_q(p, q, lam, nu, x, cfg)
+    gradient = fundamental_gradient_p if channel == "p" else fundamental_gradient_q
+    formula = gradient(p, q, lam, nu, x, cfg)
     sides = []
     for s in (epsilon, -epsilon):
         bumped = nu.scaled(s)

@@ -1,6 +1,7 @@
 """Sensitivity formulas cross-checked against centered finite differences."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -158,3 +159,54 @@ def test_double_eigenvalue_is_rejected():
         eigenvalue_gradient_p(fake, Measure.lebesgue(1.0))
     with pytest.raises(UnsupportedMultiplicityError):
         eigenvalue_gradient_q(fake, Measure.lebesgue(1.0))
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP problem, xi = 1, n = 4: gradients against an independent rule
+
+ROADMAP_P = Measure.point(0.4, 0.3)
+ROADMAP_Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+
+
+@pytest.fixture(scope="module")
+def roadmap_pair():
+    return find_eigenvalue(ROADMAP_P, ROADMAP_Q, 1, 4)
+
+
+def _composite_gauss(f, nu, panels=64, order=8):
+    """Composite Gauss-Legendre over (0, 1), split at every breakpoint."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    cuts = sorted({0.0, 1.0} | {b for mu in (nu, ROADMAP_P, ROADMAP_Q)
+                                for b in mu.breakpoints() if 0.0 < b < 1.0})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(lo, hi, panels + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            total += half * sum(w * f(float(mid + half * t))
+                                for t, w in zip(nodes, weights))
+    return total
+
+
+@pytest.mark.parametrize("channel, nu", [
+    ("p", Measure.from_density(0.1, 1.0, (1.0,))),
+    ("q", Measure.from_density(0.1, 1.0, (1.0,))),
+    ("q", Measure.point(0.3, 1.0).plus(Measure.from_density(0.2, 0.7, (1.0,)))),
+], ids=["p-density", "q-density", "q-atom-density"])
+def test_roadmap_gradients_match_composite_gauss(roadmap_pair, channel, nu):
+    e = roadmap_pair.E
+    if channel == "p":
+        got = eigenvalue_gradient_p(roadmap_pair, nu)
+        want = sum(a.w * abs(e.eval_y(a.x)) ** 2 for a in nu.atoms if a.x > 0)
+        want += _composite_gauss(
+            lambda t: nu.density_many(np.array([t]))[0] * abs(e.eval_y(t)) ** 2, nu)
+    else:
+        got = eigenvalue_gradient_q(roadmap_pair, nu)
+        want = _composite_gauss(
+            lambda t: -2.0 * (e.eval_y(t).conjugate() * e.eval_yprime(t)).imag
+            * nu.drift(t), nu)
+    # relative to max(1, |want|), as the benchmark's oracle compares: the
+    # 64-panel rule straddles the interpolant's cell edges and is itself
+    # only good to about 3e-7 absolute on the atom direction
+    assert math.isfinite(got)
+    assert abs(got - want) < 1e-7 * max(1.0, abs(want))
