@@ -76,11 +76,17 @@ def real_split(p: Measure, q: Measure, lam, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     ws = workspace if workspace is not None else Workspace(p, q)
     v1 = solve_value(p, q, lam_r, _E1, cfg, ws)
+    residue = _mirror_residue(p, q, lam_r, v1, cfg)
+    return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
+
+
+def _mirror_residue(p: Measure, q: Measure, lam_r: float, v1: complex,
+                    cfg: SolverConfig) -> float:
+    """RealSplit.residue of a verified v1 = y1(1, lam_r): one mirror solve."""
     # conjugating the equation flips the signs of p and lambda; evaluating
     # there exercises the other root branch, giving an independent value
     v2 = solve_value(p.scaled(-1.0), q, -lam_r, _E1, cfg)
-    residue = abs(v1 - v2.conjugate()) / max(1.0, abs(v1))
-    return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
+    return abs(v1 - v2.conjugate()) / max(1.0, abs(v1))
 
 
 def boundary_matrix(p: Measure, q: Measure, lam, xi,

@@ -48,6 +48,9 @@ _K_CEILING = 420.0
 # mesh rule: cells are refined until |k| * h stays below this
 _KH_MAX = 0.12
 _MAX_DOUBLINGS = 4
+# root gap (relative to the root scale) below which the transfer propagator
+# leaves the Lagrange-Sylvester sum, whose error grows like eps / gap**2
+_CROWDED = 0.1
 
 _G6_NODES, _G6_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _G8_NODES, _G8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -727,7 +730,7 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
              abs(roots[1] - roots[2])]
     dmin, dmax = min(dists), max(dists)
     eye = np.eye(3, dtype=complex)
-    if dmin >= 1e-6 * scale:
+    if dmin >= _CROWDED * scale:
         out = np.zeros((3, 3), dtype=complex)
         for j in range(3):
             term = eye * cmath.exp(roots[j] * s)
@@ -736,6 +739,8 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
                     term = term @ (A - roots[l] * eye) / (roots[j] - roots[l])
             out += term
         return out
+    if dmin >= 1e-6 * scale:
+        return _expm_taylor(s * A)
     if dmin >= 1e-12 * scale:
         raise DegeneracyError(
             "characteristic roots too close to classify",
@@ -755,6 +760,22 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
     c2 = (cmath.exp(r3 * s) - f_r - fp_r * (r3 - r)) / ((r3 - r) ** 2)
     B = A - r * eye
     return f_r * eye + fp_r * B + c2 * (B @ B)
+
+
+def _expm_taylor(m: np.ndarray) -> np.ndarray:
+    """exp(m) for a small matrix by Taylor series with scaling and squaring."""
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    halvings = max(0, math.ceil(math.log2(4.0 * norm)))
+    x = m / 2.0**halvings
+    term = np.eye(len(m), dtype=complex)
+    out = term.copy()
+    # ||x|| <= 1/4, so the first term left out is below 1e-28
+    for n in range(1, 19):
+        term = term @ x / n
+        out = out + term
+    for _ in range(halvings):
+        out = out @ out
+    return out
 
 
 class TransferPath(SolutionPath):

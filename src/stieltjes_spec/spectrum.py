@@ -13,6 +13,11 @@ counting_threshold turns the a-priori growth bound with constant c_pi into
 the tail index N from which every lattice window (center +- pi/3) holds
 exactly one root.  The constant is diagnostic: runtime verification is always
 done by winding counts, never by trusting the threshold.
+
+Real roots are located on unverified solves: a grid brackets the one sign
+change of a window, Brent bracketing refines it to width bisect_tol, and the
+eigenpair is then packaged from verified solves.  Roots of a perturbed
+problem are tracked from the base root by secant steps.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import _E1, _E2, real_split
+from .charfn import _E1, _E2, _mirror_residue
 from .errors import (
     BadArgumentError,
     ContourResolutionError,
@@ -50,6 +55,9 @@ _PHASE_STEP = 1.2
 _CLEARANCE = 1e-10
 # scan grid spacing for real-axis root bracketing
 _SCAN_STEP = math.pi / 8.0
+# evaluations a bracket refinement may spend beyond plain bisection
+_SPARE_STEPS = 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,6 @@ class SpectrumConfig:
     contour_points: int = 64
     contour_doublings: int = 3
     bisect_tol: float = 1e-12
-    newton_steps: int = 3
     verify_tail_counts: bool = False
 
     def __post_init__(self):
@@ -227,63 +234,92 @@ def _root_fn(p, q, xi, cfg, ws):
                                  verify=False).real
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, tol):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) != (f_mid < 0):
-            hi, f_hi = mid, f_mid
+def _refine_bracket(f, lo, hi, f_lo, f_hi, tol):
+    """Root of f inside the sign-change bracket [lo, hi], to width tol.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps with a bisection fallback,
+    keeping a sign change between b (the better point) and c at every step.
+    Each new point is then pulled toward the bracket midpoint just far
+    enough that the bracket stays on a bisection schedule with _SPARE_STEPS
+    steps of slack (the projection of Oliveira and Takahashi's ITP method,
+    ACM TOMS 47, 2020).  So no bracket costs more than
+    ceil(log2((hi - lo) / tol)) + _SPARE_STEPS evaluations, even at a
+    multiple root, where interpolation alone converges only linearly.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    budget = math.ceil(math.log2((hi - lo) / tol)) + _SPARE_STEPS
+    for j in range(budget + 1):
+        if (fb < 0) == (fc < 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(f, k, steps, tol):
-    fk = f(k)
-    for _ in range(steps):
-        d = 1e-5 * max(1.0, abs(k))
-        slope = (f(k + d) - f(k - d)) / (2.0 * d)
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        k_new = k - fk / slope
-        if not math.isfinite(k_new) or abs(k_new - k) > 0.5:
-            break
-        f_new = f(k_new)
-        if abs(f_new) >= abs(fk) and abs(k_new - k) > tol:
-            break
-        k, fk = k_new, f_new
-    return k
-
-
-def _refine_bracket(f, lo, hi, f_lo, f_hi, cfg):
-    k = _bisect(f, lo, hi, f_lo, f_hi, cfg.bisect_tol)
-    return _newton_polish(f, k, cfg.newton_steps, cfg.bisect_tol)
+            d = e = xm
+        x = b + d if abs(d) > tol1 else b + math.copysign(tol1, xm)
+        # the next bracket must fit tol * 2**(budget - j - 2): half the
+        # bisection schedule, so rounding cannot push the stop past budget
+        reach = tol * 2.0 ** (budget - j - 2) - abs(xm)
+        mid = b + xm
+        if abs(x - mid) > reach:
+            x = mid + math.copysign(max(reach, 0.0), x - mid)
+            d = x - b
+        a, fa = b, fb
+        b, fb = x, f(x)
+    raise RootSearchError("bracket refinement overran its bisection budget",
+                          lo=lo, hi=hi, k=b, width=abs(c - b))
 
 
 def _track_root(f, k_start, cfg, max_drift=0.3):
-    """Newton from a known nearby root; raises on a tracking jump."""
-    k = k_start
-    fk = f(k)
+    """Secant iteration from a known nearby root; raises on a tracking jump.
+
+    The first secant runs through k_start and a point a relative 1e-5 away;
+    after that every step costs one evaluation.  It stops once a step is at
+    most bisect_tol, returning that step's point without evaluating it.
+    """
+    k0, f0 = k_start, f(k_start)
+    k1 = k_start + 1e-5 * max(1.0, abs(k_start))
+    f1 = f(k1)
     for _ in range(16):
-        d = 1e-5 * max(1.0, abs(k))
-        slope = (f(k + d) - f(k - d)) / (2.0 * d)
+        slope = (f1 - f0) / (k1 - k0)
         if slope == 0.0 or not math.isfinite(slope):
             raise RootSearchError("flat characteristic while tracking a root",
-                                  k=k)
-        step = -fk / slope
-        k_new = k + step
+                                  k=k1)
+        step = -f1 / slope
+        k_new = k1 + step
         if abs(k_new - k_start) > max_drift:
             raise RootSearchError(
                 "root tracking jumped out of its window",
                 k_start=k_start, k=k_new,
             )
-        k = k_new
-        fk = f(k)
         if abs(step) <= cfg.bisect_tol:
-            return k
-    raise RootSearchError("root tracking did not settle", k_start=k_start, k=k)
+            return k_new
+        k0, f0 = k1, f1
+        k1, f1 = k_new, f(k_new)
+    raise RootSearchError("root tracking did not settle", k_start=k_start,
+                          k=k1)
 
 
 def _golden_min(g, lo, hi, iters=60):
@@ -361,7 +397,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
-    residue = real_split(p, q, lam, cfg.solver, ws).residue
+    residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg.solver)
     geo = eng.geo
     label = int(n) if n is not None else 0
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
@@ -418,7 +454,7 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
         )
     i = brackets[0]
     k = _refine_bracket(f, float(grid[i]), float(grid[i + 1]),
-                        vals[i], vals[i + 1], cfg)
+                        vals[i], vals[i + 1], cfg.bisect_tol)
     return eigenfunction(p, q, xi, k**3, n=n, cfg=cfg, workspace=ws)
 
 
@@ -517,7 +553,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
             continue
         if bi is not None:
             k = _refine_bracket(f, float(grid[bi]), float(grid[bi + 1]),
-                                vals[bi], vals[bi + 1], cfg)
+                                vals[bi], vals[bi + 1], cfg.bisect_tol)
         else:
             k = k_coarse
         pair = eigenfunction(p, q, xi, k**3, n=wanted[0], cfg=cfg,

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from stieltjes_spec import spectrum
+from stieltjes_spec.charfn import real_split
 from stieltjes_spec.errors import (
     BadArgumentError,
     RootSearchError,
@@ -13,6 +17,8 @@ from stieltjes_spec.errors import (
 from stieltjes_spec.measure import Measure
 from stieltjes_spec.spectrum import (
     SpectrumConfig,
+    _refine_bracket,
+    _track_root,
     count_zeros_disc,
     counting_threshold,
     eigenfunction,
@@ -21,6 +27,7 @@ from stieltjes_spec.spectrum import (
     spectral_shift,
     spectrum_scan,
 )
+from test_acceptance import XI2_ZERO_ROOTS
 
 Z = Measure.zero()
 
@@ -206,3 +213,124 @@ def test_config_validation():
         spectrum_scan(Z, Z, 9, 0, 1)
     with pytest.raises(BadArgumentError):
         find_eigenvalue(Z, Z, 1.5, 0)
+
+
+# ---------------------------------------------------------------------------
+# root search: bracket refinement and tracking
+
+TOL = SpectrumConfig().bisect_tol
+ROADMAP_P = Measure.point(0.4, 0.3)
+ROADMAP_Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+
+
+def _xi1_zero_char(k):
+    # Im y1(1, k^3) at zero coefficients: zeros at k = 2 n pi, triple at 0
+    return -(4.0 / 3.0) * math.sin(k / 2) * (
+        math.sinh(math.sqrt(3) * k / 4) ** 2 + math.sin(k / 4) ** 2)
+
+
+def _xi2_zero_char(k):
+    return math.cos(k) + 2.0 * math.cos(k / 2.0) * math.cosh(
+        math.sqrt(3.0) * k / 2.0)
+
+
+@st.composite
+def root_brackets(draw):
+    """A test function, its root and a sign-change bracket around it."""
+    kind = draw(st.sampled_from(("xi1", "xi2", "simple", "triple")))
+    if kind == "xi1":
+        root, f = 2 * draw(st.integers(-6, 6)) * math.pi, _xi1_zero_char
+    elif kind == "xi2":
+        n = draw(st.integers(-6, 5))
+        root = XI2_ZERO_ROOTS[n] if n >= 0 else -XI2_ZERO_ROOTS[-n - 1]
+        f = _xi2_zero_char
+    else:
+        root = draw(st.floats(-5.0, 5.0))
+        power = 1 if kind == "simple" else 3
+
+        def f(k):
+            return (k - root) ** power * (1.0 + k * k)
+    width = 10.0 ** draw(st.floats(-10.0, 0.0))
+    lo = root - draw(st.floats(0.001, 0.999)) * width
+    hi = lo + width
+    assume(lo < root < hi and (f(lo) < 0) != (f(hi) < 0))
+    return f, root, lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(root_brackets())
+def test_refine_bracket_stays_in_budget(case):
+    f, root, lo, hi = case
+    points = []
+
+    def counted(k):
+        points.append(k)
+        return f(k)
+
+    k = _refine_bracket(counted, lo, hi, f(lo), f(hi), TOL)
+    assert lo <= k <= hi
+    assert all(lo <= x <= hi for x in points)
+    assert abs(k - root) <= TOL
+    # plain bisection to width TOL plus at most four spare steps, also at
+    # the triple roots where interpolation converges only linearly
+    assert len(points) <= math.ceil(math.log2((hi - lo) / TOL)) + 4
+
+
+def _count_root_solves(monkeypatch):
+    """Record the first-measure argument of every unverified spectrum solve."""
+    seen = []
+    real = spectrum.solve_value
+
+    def counted(p, *args, verify=True, **kwargs):
+        if not verify:
+            seen.append(p)
+        return real(p, *args, verify=verify, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_value", counted)
+    return seen
+
+
+def test_triple_zero_window_costs_no_more_than_bisection(monkeypatch):
+    # k = 0 is a triple zero of Im y1(1, k^3) under a 1e-16 noise floor;
+    # bisection plus Newton spent 33 + 46 = 79 solves on this window
+    seen = _count_root_solves(monkeypatch)
+    pair = find_eigenvalue(Z, Z, 1, 0)
+    assert abs(pair.lam) <= 1e-12
+    assert len(seen) <= 79
+
+
+def test_root_search_solve_counts(monkeypatch):
+    # counts of Picard solves do not depend on the machine: a fallback to
+    # bisection (33 + 46) or to difference-quotient Newton tracking
+    # (three solves a step) fails here
+    seen = _count_root_solves(monkeypatch)
+    pair = find_eigenvalue(ROADMAP_P, ROADMAP_Q, 1, 4)
+    assert len(seen) <= 45
+    # eigenfunction reuses its verified y1(1) for the realness residue
+    split = real_split(ROADMAP_P, ROADMAP_Q, pair.lam)
+    assert pair.realness_residue == split.residue
+    seen.clear()
+    base, shifted = spectral_shift(ROADMAP_P, ROADMAP_Q, 1, 4, 0.01)
+    assert base == pair.lam
+    assert shifted - base == pytest.approx(0.01, abs=1e-9)
+    tracking = [p for p in seen if p is not ROADMAP_P]
+    assert len(tracking) <= 8
+
+
+def test_track_root_guards():
+    cfg = SpectrumConfig()
+    # the first secant step lands on the root at 1, outside max_drift
+    with pytest.raises(RootSearchError, match="jumped") as err:
+        _track_root(lambda k: k - 1.0, 0.0, cfg, max_drift=0.3)
+    assert err.value.context["k_start"] == 0.0
+    assert err.value.context["k"] == pytest.approx(1.0)
+    for value in (2.0, math.nan, math.inf):
+        with pytest.raises(RootSearchError, match="flat") as err:
+            _track_root(lambda k: value, 0.5, cfg)
+        assert err.value.context["k"] == pytest.approx(0.5, abs=1e-4)
+    # secant steps converge only linearly to a triple root: 16 steps leave
+    # it 1e-3 away, inside the drift window
+    with pytest.raises(RootSearchError, match="did not settle") as err:
+        _track_root(lambda k: (k - 0.1) ** 3, 0.0, cfg)
+    assert err.value.context["k_start"] == 0.0
+    assert 0.09 < err.value.context["k"] < 0.1
