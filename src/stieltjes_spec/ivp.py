@@ -48,6 +48,7 @@ _K_CEILING = 420.0
 # mesh rule: cells are refined until |k| * h stays below this
 _KH_MAX = 0.12
 _MAX_DOUBLINGS = 4
+_EPS = float(np.finfo(float).eps)
 # root gap (relative to the root scale) below which the transfer propagator
 # leaves the Lagrange-Sylvester sum, whose error grows like eps / gap**2
 _CROWDED = 0.1
@@ -78,6 +79,25 @@ _PARTIAL_SPAN = 0.5 * (_G6_NODES + 1.0)
 _PARTIAL_ETA = -1.0 + (_G8_NODES[None, :] + 1.0) * _PARTIAL_SPAN[:, None]
 _PARTIAL_L = np.stack([_lagrange_matrix(_PARTIAL_ETA[b]) for b in range(6)])
 _PARTIAL_W = _PARTIAL_SPAN[:, None] * _G8_WEIGHTS[None, :]
+_PARTIAL_LT = np.ascontiguousarray(_PARTIAL_L.transpose(0, 2, 1))  # [b, a, s]
+
+
+def _partial_moments(weighted: np.ndarray) -> np.ndarray:
+    """einsum("bs...,bsa->ba...", weighted, _PARTIAL_L) by batched matmul.
+
+    weighted holds sub-node values node-major, shape (6, 8, ...): Gauss node
+    b, sub-node s, then the cells.  The result, shape (6, 6, ...), maps the
+    6 Gauss values a of a cell to its partial integrals up to node b.  Each
+    b is one real (6 x 8) @ (8 x m) product over every cell (a complex array
+    enters as its real view); einsum has no BLAS path for this contraction.
+    """
+    lead = weighted.shape[2:]
+    cols = np.ascontiguousarray(weighted).reshape(6, 8, -1)
+    if np.iscomplexobj(cols):
+        out = np.matmul(_PARTIAL_LT, cols.view(float)).view(complex)
+    else:
+        out = np.matmul(_PARTIAL_LT, cols)
+    return out.reshape((6, 6) + lead)
 
 _BARY_W = np.array(
     [
@@ -263,15 +283,21 @@ class _Geometry:
         self.h = h
         self.n = len(h)
         centers = 0.5 * (edges[:-1] + edges[1:])
+        self.centers = centers
+        # distinct float widths: the engine tabulates its exponentials over
+        # a cell once per width and gathers them by width_of
+        self.widths, self.width_of = np.unique(h, return_inverse=True)
         self.tg = centers[:, None] + 0.5 * h[:, None] * _G6_NODES[None, :]
         self.gw = 0.5 * h[:, None] * _G6_WEIGHTS[None, :]
         self.qg = q.drift_many(self.tg.ravel()).reshape(self.n, 6)
         self.q_edge = q.drift_many(edges)
         rho = q.density_many(self.tg.ravel()) + 1j * p.density_many(self.tg.ravel())
         self.rho_g = rho.reshape(self.n, 6)
-        self.tau = centers[:, None, None] + 0.5 * h[:, None, None] * _PARTIAL_ETA[None]
+        # sub-node points and weights of the partial integrals, node-major:
+        # (6, 8, n) for Gauss node b, sub-node s and cell i
+        self.tau = centers + 0.5 * h * _PARTIAL_ETA[:, :, None]
         flat = self.tau.reshape(-1)
-        self.w_plain = 0.5 * h[:, None, None] * _PARTIAL_W[None]
+        self.w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
         self.w_q = self.w_plain * q.drift_many(flat).reshape(self.tau.shape)
         self.w_rho = self.w_plain * (
             q.density_many(flat) + 1j * p.density_many(flat)
@@ -291,12 +317,12 @@ class _Geometry:
                 raise BadArgumentError(f"atom at {x_a} is not a mesh edge")
             dq, dp = joint[x_a]
             self.atoms.append((idx, x_a, dq + 1j * dp, dq - 1j * dp))
-        # lambda-free partial tensors for the moment recovery kernels
-        self.m_rho0 = np.einsum("ibs,bsa->iba", self.w_rho, _PARTIAL_L)
-        self.m_rho1 = np.einsum("ibs,ibs,bsa->iba", self.w_rho, self.tau, _PARTIAL_L)
-        self.m_q0 = np.einsum("ibs,bsa->iba", self.w_q, _PARTIAL_L)
-        self.m_p0 = np.einsum("ibs,bsa->iba", self.w_plain, _PARTIAL_L)
-        self.m_p1 = np.einsum("ibs,ibs,bsa->iba", self.w_plain, self.tau, _PARTIAL_L)
+        # lambda-free partial tensors for the moment recovery kernels, (6, 6, n)
+        self.m_rho0 = _partial_moments(self.w_rho)
+        self.m_rho1 = _partial_moments(self.w_rho * self.tau)
+        self.m_q0 = _partial_moments(self.w_q)
+        self.m_p0 = _partial_moments(self.w_plain)
+        self.m_p1 = _partial_moments(self.w_plain * self.tau)
 
     def refined(self) -> "_Geometry":
         """Split every cell in half; parent edges appear at even indices."""
@@ -324,7 +350,7 @@ class _Geometry:
             raise ValueError(weight)
         cell = np.sum(gw * vals, axis=1)
         edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        node = edge[:-1, None] + np.einsum("iba,ia->ib", m, vals)
+        node = edge[:-1, None] + np.einsum("bai,ia->ib", m, vals)
         return node, edge
 
     def prefix_dmu(self, vals, edge_vals, moment: int):
@@ -338,7 +364,7 @@ class _Geometry:
         gw = self.gw * self.rho_g if moment == 0 else self.gw * self.rho_g * self.tg
         cell = np.sum(gw * vals, axis=1)
         edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        node = edge[:-1, None] + np.einsum("iba,ia->ib", m, vals)
+        node = edge[:-1, None] + np.einsum("bai,ia->ib", m, vals)
         for idx, x_a, d_mu, _ in self.atoms:
             contrib = d_mu * edge_vals[idx] * (x_a if moment else 1.0)
             node[idx:, :] += contrib
@@ -387,57 +413,76 @@ class Workspace:
 # Picard engine
 
 
+def _supported_root(lam_eff: complex) -> complex:
+    """cube_root(lam_eff), refused beyond the growth ceiling."""
+    k = cube_root(lam_eff)
+    if abs(k) > _K_CEILING:
+        raise NumericalError(
+            f"|lambda|^(1/3) = {abs(k):.3g} beyond the supported ceiling"
+        )
+    return k
+
+
 class _Engine:
-    """One (geometry, lambda) pairing with the exponential channel tensors."""
+    """One (geometry, lambda) pairing with the mixed exponential channel.
+
+    A Picard term is sum_j exp(i omega^j k x) times the integral over (0, x]
+    of exp(-i omega^j k t) f(t) (a3_j d(q + i p) - 2 a2_j q(t) dt), where
+    a2_j, a3_j are the channel coefficients of the kernels y2(x - t) and
+    y3(x - t).  Setup folds a3 and -2 a2 into one kernel, one cell weight
+    and the atom phases, so each term makes one prefix contraction.
+    """
 
     def __init__(self, geo: _Geometry, lam_eff: complex, cfg: SolverConfig):
         self.geo = geo
         self.lam = lam_eff
         self.cfg = cfg
-        k = cube_root(lam_eff)
-        if abs(k) > _K_CEILING:
-            raise NumericalError(
-                f"|lambda|^(1/3) = {abs(k):.3g} beyond the supported ceiling"
-            )
-        self.k = k
+        k = _supported_root(lam_eff)
+        if geo.p.is_zero and geo.q.is_zero:
+            return  # iterate returns the closed form without a Picard term
         iok = 1j * k * _OMEGA_POW
-        self.e_node = np.exp(-np.multiply.outer(iok, geo.tg))  # (3, n, 6)
-        self.u_node = np.exp(np.multiply.outer(iok, geo.tg))
-        self.e_edge = np.exp(-np.multiply.outer(iok, geo.edges))
+        a2 = _OMEGA_NEG / (3j * k)
+        a3 = -_OMEGA_POW / (3.0 * k * k)
+        # a point of cell i is c_i + h_i r / 2 for a reference offset r, and
+        # exp(i omega^j k t) factors into exp(i omega^j k c_i), 3n values,
+        # times exp(i omega^j k h_i r / 2), tabulated once per distinct width
+        e_center = np.exp(-np.multiply.outer(iok, geo.centers))  # (3, n)
+        u_center = np.exp(np.multiply.outer(iok, geo.centers))
+        step = np.multiply.outer(iok, np.multiply.outer(0.5 * geo.widths, _G6_NODES))
+        e_node = e_center[:, :, None] * np.exp(-step)[:, geo.width_of]  # (3, n, 6)
+        self.u_node = u_center[:, :, None] * np.exp(step)[:, geo.width_of]
         self.u_edge = np.exp(np.multiply.outer(iok, geo.edges))
-        e_sub = np.exp(-np.multiply.outer(iok, geo.tau))  # (3, n, 6, 8)
-        self.m_q = np.einsum("ibs,jibs,bsa->jiba", geo.w_q, e_sub, _PARTIAL_L)
-        self.m_rho = np.einsum("ibs,jibs,bsa->jiba", geo.w_rho, e_sub, _PARTIAL_L)
-        # channel coefficients of the kernels y2(x-t) and y3(x-t)
-        self.a2 = _OMEGA_NEG / (3j * k)
-        self.a3 = -_OMEGA_POW / (3.0 * k * k)
-        if geo.atoms:
-            xs = np.array([a[1] for a in geo.atoms])
-            self.atom_phase = np.exp(-np.multiply.outer(iok, xs))
-        else:
-            self.atom_phase = np.zeros((3, 0), dtype=complex)
+        self.cell_w = e_node * (
+            np.multiply.outer(a3, geo.gw * geo.rho_g)
+            - np.multiply.outer(2.0 * a2, geo.gw * geo.qg)
+        )
+        table = np.exp(-np.multiply.outer(
+            0.5 * _PARTIAL_ETA, np.multiply.outer(iok, geo.widths)))
+        sub = table[..., geo.width_of]  # (6, 8, 3, n)
+        for j in range(3):  # centre factor and mixed weight, in place
+            sub[:, :, j] *= ((a3[j] * e_center[j]) * geo.w_rho
+                             - (2.0 * a2[j] * e_center[j]) * geo.w_q)
+        self.kernel = _partial_moments(sub)  # (6, 6, 3, n)
+        xs = np.array([a[1] for a in geo.atoms], dtype=float)
+        self.atom_phase = a3[:, None] * np.exp(-np.multiply.outer(iok, xs))
 
     def _channel_prefix(self, vals, edge_vals):
-        """Exponential-channel integrals feeding one Picard term.
+        """Mixed-channel integrals feeding one Picard term.
 
-        Returns integrals of exp(-i omega^j k t) f(t) against d(q+ip) and
-        against q(t) dt, at nodes (3, n, 6) and edges (3, n+1).
+        Returns the integrals of exp(-i omega^j k t) f(t) against
+        a3_j d(q + ip) - 2 a2_j q(t) dt from 0 to every Gauss node (3, n, 6)
+        and every edge (3, n+1).
         """
         geo = self.geo
-        wq_vals = geo.gw * geo.qg * vals
-        wrho_vals = geo.gw * geo.rho_g * vals
-        cell_q = np.einsum("jia,ia->ji", self.e_node, wq_vals)
-        cell_rho = np.einsum("jia,ia->ji", self.e_node, wrho_vals)
-        zero = np.zeros((3, 1), dtype=complex)
-        edge_q = np.concatenate([zero, np.cumsum(cell_q, axis=1)], axis=1)
-        edge_rho = np.concatenate([zero, np.cumsum(cell_rho, axis=1)], axis=1)
-        node_q = edge_q[:, :-1, None] + np.einsum("jiba,ia->jib", self.m_q, vals)
-        node_rho = edge_rho[:, :-1, None] + np.einsum("jiba,ia->jib", self.m_rho, vals)
+        cell = np.einsum("jia,ia->ji", self.cell_w, vals)
+        edge = np.zeros((3, geo.n + 1), dtype=complex)
+        np.cumsum(cell, axis=1, out=edge[:, 1:])
+        node = edge[:, :-1, None] + np.einsum("baji,ia->jib", self.kernel, vals)
         for pos, (idx, _, d_mu, _) in enumerate(geo.atoms):
             contrib = self.atom_phase[:, pos] * (d_mu * edge_vals[idx])
-            node_rho[:, idx:, :] += contrib[:, None, None]
-            edge_rho[:, idx:] += contrib[:, None]
-        return node_rho, edge_rho, node_q, edge_q
+            node[:, idx:, :] += contrib[:, None, None]
+            edge[:, idx:] += contrib[:, None]
+        return node, edge
 
     def iterate(self, init: InitialTriple):
         """Accumulate the fixed-point iterates; returns y at nodes and edges."""
@@ -459,14 +504,9 @@ class _Engine:
         term = math.inf
         m = 0
         for m in range(1, cfg.max_iter + 1):
-            node_rho, edge_rho, node_q, edge_q = self._channel_prefix(c_node, c_edge)
-            mix_n = (
-                self.a3[:, None, None] * node_rho
-                - 2.0 * self.a2[:, None, None] * node_q
-            )
-            c_node = np.sum(self.u_node * mix_n, axis=0)
-            mix_e = self.a3[:, None] * edge_rho - 2.0 * self.a2[:, None] * edge_q
-            c_edge = np.sum(self.u_edge * mix_e, axis=0)
+            node, edge = self._channel_prefix(c_node, c_edge)
+            c_node = np.sum(self.u_node * node, axis=0)
+            c_edge = np.sum(self.u_edge * edge, axis=0)
             c_edge[0] = 0.0
             y_node += c_node
             y_edge += c_edge
@@ -652,7 +692,12 @@ def _iterate_on_level(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
 
 
 def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
-    """Solve on doubling meshes until two resolutions agree at shared edges."""
+    """Solve on doubling meshes until two resolutions agree at shared edges.
+
+    A target 10 * tol below float64 resolution is refused after the first
+    comparison: two levels can meet it only by a chance agreement of their
+    rounding errors, which certifies nothing.
+    """
     prev_edges = None
     gap = math.inf
     for level in range(_MAX_DOUBLINGS):
@@ -663,6 +708,12 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
             for fine, coarse in zip(edges, prev_edges):
                 scale = max(1.0, float(np.max(np.abs(fine))))
                 gap = max(gap, float(np.max(np.abs(fine[::2] - coarse))) / scale)
+            if 10.0 * cfg.tol < _EPS:
+                raise MeshRefinementError(
+                    f"tolerance {cfg.tol:.3g} is below float64 resolution; "
+                    f"the doubling gap was {gap:.3g}",
+                    doublings=level, gap=gap,
+                )
             if gap <= 10.0 * cfg.tol:
                 return eng, results
         prev_edges = edges
@@ -705,6 +756,12 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     if not isinstance(init, InitialTriple):
         init = InitialTriple(*init)
     ws = workspace if workspace is not None else Workspace(p, q)
+    lam_eff, shift_c = _effective(lam)
+    if ws.p.is_zero and ws.q.is_zero and shift_c == 0.0:
+        # the closed form is exact: no mesh, nothing to verify
+        _supported_root(lam_eff)
+        y1, y2, y3 = zero_potential_rows(lam_eff, [1.0])
+        return complex((init.y0 * y1 + init.z0 * y2 + init.w0 * y3)[0])
     if verify:
         _, results = _solve_verified(ws, lam, [init], cfg)
     else:
@@ -946,14 +1003,14 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
 
     rho_nu = nu.density_many(tg.ravel()).reshape(tg.shape)
     tau_rho = nu.density_many(geo.tau.reshape(-1)).reshape(geo.tau.shape)
-    m_nu = np.einsum("ibs,ibs,bsa->iba", geo.w_plain, tau_rho, _PARTIAL_L)
+    m_nu = _partial_moments(geo.w_plain * tau_rho)
     j_node = np.empty(tg.shape + (3,), dtype=complex)
     j_edge = np.empty((len(edges), 3), dtype=complex)
     for comp in range(3):
         vals = g_node[..., comp]
         cell = np.sum(geo.gw * rho_nu * vals, axis=1)
         edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        j_node[..., comp] = edge[:-1, None] + np.einsum("iba,ia->ib", m_nu, vals)
+        j_node[..., comp] = edge[:-1, None] + np.einsum("bai,ia->ib", m_nu, vals)
         j_edge[:, comp] = edge
     extra_jumps = []
     for a in nu.atoms:

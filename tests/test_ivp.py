@@ -1,14 +1,16 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stieltjes_spec.errors import (
     BadArgumentError,
     DegeneracyError,
     MeshRefinementError,
+    NumericalError,
     UnsupportedMeasureError,
 )
 from stieltjes_spec.measure import Measure, ramp_sequence
@@ -504,3 +506,142 @@ def test_array_evaluation_matches_scalar_and_oracle(problem):
     for side in ("right", "left"):
         gap = np.abs(path.eval_w(xs, side) - oracle.eval_w(xs, side))
         assert np.max(gap) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# Picard engine: mixed channel and factored exponentials, property-based
+
+
+def _kernel_geometry(mesh, seed, lam):
+    """Geometry a solve at lam would use: uniform, refined or many widths."""
+    rng = np.random.default_rng(seed)
+    level = 0
+    if mesh == "uniform":
+        p = Measure.zero()
+        q = Measure.from_density(0.0, 1.0, tuple(rng.uniform(-1.0, 1.0, 2)))
+    elif mesh == "refined":
+        p = Measure.point(float(rng.uniform(0.1, 0.9)), float(rng.uniform(-1.0, 1.0)))
+        q = Measure.from_density(0.2, 0.7, tuple(rng.uniform(-1.0, 1.0, 3)))
+        level = 1 + seed % 2
+    else:  # random atoms leave many distinct cell widths
+        p = Measure.from_density(0.0, 1.0, (float(rng.uniform(-1.0, 1.0)),))
+        q = Measure.zero()
+        for x in rng.uniform(0.01, 0.99, 40):
+            q = q.plus(Measure.point(float(x), float(rng.uniform(-0.1, 0.1))))
+    lam_eff, shift_c = ivp._effective(lam)
+    n_uni = ivp._n_uniform(SolverConfig(), cube_root(lam_eff))
+    return Workspace(p, q).geometry(shift_c, n_uni, level), lam_eff
+
+
+def _reference_term(geo, lam_eff, vals, edge_vals):
+    """One Picard term built the direct way.
+
+    exp over every sub-node, the d(q + ip) and q dt channels contracted
+    separately by einsum, and the two channels mixed only at the end.
+    """
+    k = cube_root(lam_eff)
+    iok = 1j * k * ivp._OMEGA_POW
+    a2 = ivp._OMEGA_NEG / (3j * k)
+    a3 = -ivp._OMEGA_POW / (3.0 * k * k)
+    e_node = np.exp(-np.multiply.outer(iok, geo.tg))
+    u_node = np.exp(np.multiply.outer(iok, geo.tg))
+    u_edge = np.exp(np.multiply.outer(iok, geo.edges))
+    e_sub = np.exp(-np.multiply.outer(iok, geo.tau))  # (3, 6, 8, n)
+    zero = np.zeros((3, 1), dtype=complex)
+    channels = []
+    for w_sub, w_cell in ((geo.w_rho, geo.rho_g), (geo.w_q, geo.qg)):
+        m = np.einsum("bsi,jbsi,bsa->jiba", w_sub, e_sub, ivp._PARTIAL_L)
+        cell = np.einsum("jia,ia->ji", e_node, geo.gw * w_cell * vals)
+        edge = np.concatenate([zero, np.cumsum(cell, axis=1)], axis=1)
+        node = edge[:, :-1, None] + np.einsum("jiba,ia->jib", m, vals)
+        channels.append((node, edge))
+    (node_rho, edge_rho), (node_q, edge_q) = channels
+    for idx, x_a, d_mu, _ in geo.atoms:
+        contrib = np.exp(-iok * x_a) * (d_mu * edge_vals[idx])
+        node_rho[:, idx:, :] += contrib[:, None, None]
+        edge_rho[:, idx:] += contrib[:, None]
+    mix_n = a3[:, None, None] * node_rho - 2.0 * a2[:, None, None] * node_q
+    mix_e = a3[:, None] * edge_rho - 2.0 * a2[:, None] * edge_q
+    return np.sum(u_node * mix_n, axis=0), np.sum(u_edge * mix_e, axis=0)
+
+
+@st.composite
+def kernel_cases(draw):
+    mesh = draw(st.sampled_from(("uniform", "refined", "many")))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(("real", "complex", "shifted")))
+    if kind == "shifted":  # |lambda| < 0.027: solved at lambda + 1
+        size = draw(st.floats(0.0, 0.0269))
+        lam = cmath.rect(size, draw(st.floats(-math.pi, math.pi)))
+    else:
+        size = 10.0 ** draw(st.floats(-1.5, math.log10(2e6)))
+        if kind == "real":
+            lam = complex(size * draw(st.sampled_from((-1.0, 1.0))))
+        else:
+            lam = cmath.rect(size, draw(st.floats(-math.pi, math.pi)))
+    return mesh, seed, lam
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(kernel_cases())
+@example(("uniform", 1, 2e6 + 0j))
+@example(("many", 2, -2e6 + 0j))
+@example(("refined", 3, 1.5e6 - 8e5j))
+@example(("refined", 4, 0.01 - 0.02j))
+@example(("many", 5, 0j))
+def test_mixed_channel_term_matches_direct_construction(case):
+    mesh, seed, lam = case
+    geo, lam_eff = _kernel_geometry(mesh, seed, lam)
+    y1n, y2n, y3n = zero_potential_rows(lam_eff, geo.tg.ravel())
+    vals = (y1n + 0.5 * y2n - 0.25j * y3n).reshape(geo.n, 6)
+    y1e, y2e, y3e = zero_potential_rows(lam_eff, geo.edges)
+    edge_vals = y1e + 0.5 * y2e - 0.25j * y3e
+    want_node, want_edge = _reference_term(geo, lam_eff, vals, edge_vals)
+    eng = ivp._Engine(geo, lam_eff, SolverConfig())
+    node, edge = eng._channel_prefix(vals, edge_vals)
+    got_node = np.sum(eng.u_node * node, axis=0)
+    got_edge = np.sum(eng.u_edge * edge, axis=0)
+    for got, want in ((got_node, want_node), (got_edge, want_edge)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the lambda-free moment tensors share the batched contraction
+    for m, w_sub in ((geo.m_rho0, geo.w_rho), (geo.m_rho1, geo.w_rho * geo.tau),
+                     (geo.m_q0, geo.w_q), (geo.m_p0, geo.w_plain),
+                     (geo.m_p1, geo.w_plain * geo.tau)):
+        want = np.einsum("bsi,bsa->bai", w_sub, ivp._PARTIAL_L)
+        assert np.max(np.abs(m - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+    if mesh == "many":
+        assert len(geo.widths) >= 40
+
+
+def test_zero_measures_solve_value_is_the_closed_form(monkeypatch):
+    calls = []
+    geometry = Workspace.geometry
+
+    def counted(ws, *args):
+        calls.append(args)
+        return geometry(ws, *args)
+
+    monkeypatch.setattr(Workspace, "geometry", counted)
+    zero = Measure.zero()
+    init = InitialTriple(0.3, -1.0, 2.5j)
+    for lam in (0.027, -0.5, 40.0, -3e4 + 7e3j, 2e6, -7.4e7):
+        for verify in (True, False):
+            got = solve_value(zero, zero, lam, init, verify=verify)
+            y1, y2, y3 = zero_potential_rows(lam, [1.0])
+            want = complex((init.y0 * y1 + init.z0 * y2 + init.w0 * y3)[0])
+            assert (got.real, got.imag) == (want.real, want.imag)
+    assert calls == []
+    # below the shift threshold the Lebesgue-shifted problem is solved
+    solve_value(zero, zero, 0.01, init)
+    assert calls
+    with pytest.raises(NumericalError):
+        solve_value(zero, zero, 1e8, init)
+
+
+def test_sub_roundoff_tolerance_is_refused_even_on_exact_agreement():
+    # zero potential: every level holds the closed form, so the doubling
+    # gap is exactly 0; a 1e-18 target must still be refused
+    cfg = SolverConfig(mesh_size=8, tol=1e-18)
+    with pytest.raises(MeshRefinementError) as err:
+        solve_picard(Measure.zero(), Measure.zero(), 40.0, InitialTriple(1, 0, 0), cfg)
+    assert err.value.context["gap"] == 0.0
