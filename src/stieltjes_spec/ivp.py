@@ -80,9 +80,12 @@ _PARTIAL_ETA = -1.0 + (_G8_NODES[None, :] + 1.0) * _PARTIAL_SPAN[:, None]
 _PARTIAL_L = np.stack([_lagrange_matrix(_PARTIAL_ETA[b]) for b in range(6)])
 _PARTIAL_W = _PARTIAL_SPAN[:, None] * _G8_WEIGHTS[None, :]
 _PARTIAL_LT = np.ascontiguousarray(_PARTIAL_L.transpose(0, 2, 1))  # [b, a, s]
+# in units of the cell width, Gauss node b lies _PARTIAL_SPAN[b] from the
+# left edge and _SUB_OFFSET[b, s] from its s-th sub-node
+_SUB_OFFSET = 0.5 * (_G6_NODES[:, None] - _PARTIAL_ETA)
 
 
-def _partial_moments(weighted: np.ndarray) -> np.ndarray:
+def _partial_moments(weighted: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """einsum("bs...,bsa->ba...", weighted, _PARTIAL_L) by batched matmul.
 
     weighted holds sub-node values node-major, shape (6, 8, ...): Gauss node
@@ -90,14 +93,18 @@ def _partial_moments(weighted: np.ndarray) -> np.ndarray:
     6 Gauss values a of a cell to its partial integrals up to node b.  Each
     b is one real (6 x 8) @ (8 x m) product over every cell (a complex array
     enters as its real view); einsum has no BLAS path for this contraction.
+    A complex (6, 6, n) out, contiguous along the cells, takes the result.
     """
     lead = weighted.shape[2:]
     cols = np.ascontiguousarray(weighted).reshape(6, 8, -1)
     if np.iscomplexobj(cols):
-        out = np.matmul(_PARTIAL_LT, cols.view(float)).view(complex)
+        if out is not None:
+            np.matmul(_PARTIAL_LT, cols.view(float), out=out.view(float))
+            return out
+        res = np.matmul(_PARTIAL_LT, cols.view(float)).view(complex)
     else:
-        out = np.matmul(_PARTIAL_LT, cols)
-    return out.reshape((6, 6) + lead)
+        res = np.matmul(_PARTIAL_LT, cols)
+    return res.reshape((6, 6) + lead)
 
 _BARY_W = np.array(
     [
@@ -273,17 +280,22 @@ def zero_potential(x: float, lam: complex) -> FundamentalMatrix:
 class _Geometry:
     """Mesh plus every lambda-free quadrature tensor for one (p, q) pair."""
 
-    def __init__(self, p: Measure, q: Measure, edges: np.ndarray):
+    def __init__(self, p: Measure, q: Measure, edges: np.ndarray,
+                 picard_budget: float | None = None):
         self.p = p
         self.q = q
         self.edges = edges
+        if picard_budget is None:
+            # V = 3 (2 |q|(0,1] + |p|(0,1] + |q|(0,1]): an atom at 0 is inert
+            tv_q = q.tv_function(1.0)
+            picard_budget = 3.0 * (2.0 * tv_q + p.tv_function(1.0) + tv_q)
+        self.picard_budget = picard_budget
         h = np.diff(edges)
         if np.any(h <= 0):
             raise BadArgumentError("mesh edges must be strictly increasing")
         self.h = h
         self.n = len(h)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        self.centers = centers
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
         self.widths, self.width_of = np.unique(h, return_inverse=True)
@@ -330,7 +342,7 @@ class _Geometry:
         new_edges = np.empty(2 * self.n + 1)
         new_edges[0::2] = self.edges
         new_edges[1::2] = mids
-        return _Geometry(self.p, self.q, new_edges)
+        return _Geometry(self.p, self.q, new_edges, self.picard_budget)
 
     # -- generic prefix accumulation over this mesh ----------------------
 
@@ -424,90 +436,138 @@ def _supported_root(lam_eff: complex) -> complex:
 
 
 class _Engine:
-    """One (geometry, lambda) pairing with the mixed exponential channel.
+    """One (geometry, lambda) pairing of the Picard iteration.
 
-    A Picard term is sum_j exp(i omega^j k x) times the integral over (0, x]
-    of exp(-i omega^j k t) f(t) (a3_j d(q + i p) - 2 a2_j q(t) dt), where
-    a2_j, a3_j are the channel coefficients of the kernels y2(x - t) and
-    y3(x - t).  Setup folds a3 and -2 a2 into one kernel, one cell weight
-    and the atom phases, so each term makes one prefix contraction.
+    A Picard term maps f to the integral over (0, x] of
+    y3(x - t) f(t) d(q + i p)(t) - 2 y2(x - t) q(t) f(t) dt, where y2 and
+    y3 are the zero-potential kernels.  Each is a sum over channels j of
+    a_j exp(i omega^j k (x - t)), and for a Gauss node x_b of the cell with
+    left edge x_i the exponential splits as
+
+        exp(i omega^j k (x_b - t))
+            = exp(i omega^j k (x_b - x_i)) exp(i omega^j k x_i) exp(-i omega^j k t).
+
+    Across cells, the integral over (0, x_i] is a cumulative sum of the three
+    channels, kept at the edges only; the phase exp(i omega^j k (x_b - x_i)),
+    tabulated once per distinct cell width, carries the value at each left
+    edge to the nodes of its cell.  Inside a cell the kernels depend only on
+    x_b - t, so the integral over (x_i, x_b] is one (6, 6) matrix per cell,
+    built at setup from y2 and y3 at the 48 sub-node offsets of each width.
+    A term then costs 18 complex multiply-adds per cell for the cell
+    weights, 36 in the cell and 18 for the phases.
     """
 
     def __init__(self, geo: _Geometry, lam_eff: complex, cfg: SolverConfig):
         self.geo = geo
         self.lam = lam_eff
         self.cfg = cfg
-        k = _supported_root(lam_eff)
-        if geo.p.is_zero and geo.q.is_zero:
-            return  # iterate returns the closed form without a Picard term
+        self.k = k = _supported_root(lam_eff)
         iok = 1j * k * _OMEGA_POW
-        a2 = _OMEGA_NEG / (3j * k)
-        a3 = -_OMEGA_POW / (3.0 * k * k)
-        # a point of cell i is c_i + h_i r / 2 for a reference offset r, and
-        # exp(i omega^j k t) factors into exp(i omega^j k c_i), 3n values,
-        # times exp(i omega^j k h_i r / 2), tabulated once per distinct width
-        e_center = np.exp(-np.multiply.outer(iok, geo.centers))  # (3, n)
-        u_center = np.exp(np.multiply.outer(iok, geo.centers))
-        step = np.multiply.outer(iok, np.multiply.outer(0.5 * geo.widths, _G6_NODES))
-        e_node = e_center[:, :, None] * np.exp(-step)[:, geo.width_of]  # (3, n, 6)
-        self.u_node = u_center[:, :, None] * np.exp(step)[:, geo.width_of]
-        self.u_edge = np.exp(np.multiply.outer(iok, geo.edges))
-        self.cell_w = e_node * (
-            np.multiply.outer(a3, geo.gw * geo.rho_g)
-            - np.multiply.outer(2.0 * a2, geo.gw * geo.qg)
-        )
-        table = np.exp(-np.multiply.outer(
-            0.5 * _PARTIAL_ETA, np.multiply.outer(iok, geo.widths)))
-        sub = table[..., geo.width_of]  # (6, 8, 3, n)
-        for j in range(3):  # centre factor and mixed weight, in place
-            sub[:, :, j] *= ((a3[j] * e_center[j]) * geo.w_rho
-                             - (2.0 * a2[j] * e_center[j]) * geo.w_q)
-        self.kernel = _partial_moments(sub)  # (6, 6, 3, n)
+        self.a2 = a2 = _OMEGA_NEG / (3j * k)
+        self.a3 = a3 = -_OMEGA_POW / (3.0 * k * k)
+        self.u_edge = np.exp(np.multiply.outer(iok, geo.edges))  # (3, n+1)
+        zero = geo.p.is_zero and geo.q.is_zero
+        # kernel[b, :, i] maps the 6 values of f in cell i and the 3 edge
+        # channels at its left edge to the term at node b: columns 0-5 hold
+        # the in-cell integral, the last 3 the phases exp(i omega^j k (x_b - x_i))
+        self.kernel = np.empty((6, 3 if zero else 9, geo.n), dtype=complex)
+        self.phase = self.kernel[:, -3:]
+        # node offsets from the left edge, per distinct width: (6, 3, widths);
+        # np.take keeps the gathered arrays C-ordered, cells last (fancy
+        # indexing would not), and mode="clip" lets it write into the kernel
+        # slice without a buffer
+        offset = np.multiply.outer(np.multiply.outer(_PARTIAL_SPAN, iok), geo.widths)
+        np.take(np.exp(offset), geo.width_of, axis=-1, out=self.phase, mode="clip")
+        # one zero_potential_rows call: the edges and nodes where the
+        # exponential sums cancel, then, unless both measures are zero, the
+        # in-cell offsets of every width (|k| h <= _KH_MAX keeps these on the
+        # series branch too)
+        self.near_edge = np.abs(k * geo.edges) < _SERIES_SWITCH
+        self.near_node = np.abs(k * geo.tg.T) < _SERIES_SWITCH
+        pts = [geo.edges[self.near_edge], geo.tg.T[self.near_node]]
+        if not zero:
+            pts.append(np.multiply.outer(_SUB_OFFSET, geo.widths).ravel())
+        rows = np.array(zero_potential_rows(lam_eff, np.concatenate(pts)))
+        n_edge, n_node = len(pts[0]), len(pts[1])
+        self.rows_edge = rows[:, :n_edge]
+        self.rows_node = rows[:, n_edge:n_edge + n_node]
+        if zero:
+            return  # iterate returns the closed form without a Picard term
+        # cell weights (3, 6, n): channel j, node a, cell
+        cell_w = np.take(np.exp(-offset).transpose(1, 0, 2), geo.width_of, axis=-1)
+        cell_w *= (1.0 / self.u_edge[:, :-1])[:, None, :]
+        mixed = np.multiply.outer(a3, (geo.gw * geo.rho_g).T)
+        mixed -= np.multiply.outer(2.0 * a2, (geo.gw * geo.qg).T)
+        cell_w *= mixed
+        self.cell_w = cell_w
+        y2, y3 = rows[1:, n_edge + n_node:].reshape((2,) + _SUB_OFFSET.shape + (-1,))
+        sub = np.take(y3, geo.width_of, axis=-1)
+        sub *= geo.w_rho
+        sub_q = np.take(-2.0 * y2, geo.width_of, axis=-1)
+        sub_q *= geo.w_q
+        sub += sub_q
+        _partial_moments(sub, out=self.kernel[:, :6])
         xs = np.array([a[1] for a in geo.atoms], dtype=float)
         self.atom_phase = a3[:, None] * np.exp(-np.multiply.outer(iok, xs))
 
-    def _channel_prefix(self, vals, edge_vals):
-        """Mixed-channel integrals feeding one Picard term.
+    def initial_rows(self, init: InitialTriple):
+        """y0 y1 + z0 y2 + w0 y3 at every node (6, n) and edge (n+1,).
 
-        Returns the integrals of exp(-i omega^j k t) f(t) against
-        a3_j d(q + ip) - 2 a2_j q(t) dt from 0 to every Gauss node (3, n, 6)
-        and every edge (3, n+1).
+        Node arrays of the engine are node-major: Gauss node b, then cell.
+        The rows are sum_j (y0 / 3 + z0 a2_j + w0 a3_j) exp(i omega^j k x),
+        built from the engine's edge exponentials and width phases; points
+        with |k x| below the series switch, where the sum cancels, take the
+        zero_potential_rows values tabulated at setup instead.
         """
-        geo = self.geo
-        cell = np.einsum("jia,ia->ji", self.cell_w, vals)
-        edge = np.zeros((3, geo.n + 1), dtype=complex)
-        np.cumsum(cell, axis=1, out=edge[:, 1:])
-        node = edge[:, :-1, None] + np.einsum("baji,ia->jib", self.kernel, vals)
-        for pos, (idx, _, d_mu, _) in enumerate(geo.atoms):
-            contrib = self.atom_phase[:, pos] * (d_mu * edge_vals[idx])
-            node[:, idx:, :] += contrib[:, None, None]
-            edge[:, idx:] += contrib[:, None]
+        coef = init.y0 / 3.0 + init.z0 * self.a2 + init.w0 * self.a3
+        chan = coef[:, None] * self.u_edge
+        edge = np.sum(chan, axis=0)
+        node = np.sum(self.phase * chan[:, :-1], axis=1)
+        vec = init.as_vector()
+        edge[self.near_edge] = vec @ self.rows_edge
+        node[self.near_node] = vec @ self.rows_node
         return node, edge
 
+    def term(self, vals, edge_vals):
+        """The next Picard term from f at the nodes (6, n) and edges (n+1,).
+
+        Returns the term at every node (6, n) and edge (n+1,).
+        """
+        geo = self.geo
+        stacked = np.empty((9, geo.n), dtype=complex)
+        stacked[:6] = vals
+        cell = np.sum(self.cell_w * vals, axis=1)
+        chan = np.zeros((3, geo.n + 1), dtype=complex)
+        np.cumsum(cell, axis=1, out=chan[:, 1:])
+        for pos, (idx, _, d_mu, _) in enumerate(geo.atoms):
+            contrib = self.atom_phase[:, pos] * (d_mu * edge_vals[idx])
+            chan[:, idx:] += contrib[:, None]
+        chan *= self.u_edge
+        stacked[6:] = chan[:, :-1]
+        return np.sum(self.kernel * stacked, axis=1), np.sum(chan, axis=0)
+
     def iterate(self, init: InitialTriple):
-        """Accumulate the fixed-point iterates; returns y at nodes and edges."""
+        """Accumulate the fixed-point iterates; returns y at nodes and edges.
+
+        Each term is one call of term.  By exp(i omega^j k (x_b - t)) =
+        exp(i omega^j k (x_b - x_i)) exp(i omega^j k (x_i - t)), it sums the
+        three exponential channels across cells at the edges only, then
+        makes one contraction per cell: the in-cell kernel on f and the
+        width phases on the edge channels.  The series starts from the
+        engine's own initial rows.  Node values come back cell-major, (n, 6).
+        """
         geo, cfg = self.geo, self.cfg
-        y1n, y2n, y3n = zero_potential_rows(self.lam, geo.tg.ravel())
-        c_node = (init.y0 * y1n + init.z0 * y2n + init.w0 * y3n).reshape(geo.n, 6)
-        y1e, y2e, y3e = zero_potential_rows(self.lam, geo.edges)
-        c_edge = init.y0 * y1e + init.z0 * y2e + init.w0 * y3e
+        c_node, c_edge = self.initial_rows(init)
         y_node = c_node.copy()
         y_edge = c_edge.copy()
         if geo.p.is_zero and geo.q.is_zero:
-            return y_node, y_edge, 0
+            return np.ascontiguousarray(y_node.T), y_edge, 0
         scale = max(1.0, float(np.max(np.abs(y_node))))
-        budget = 3.0 * (
-            2.0 * geo.q.total_variation()
-            + geo.p.tv_function(1.0)
-            + geo.q.tv_function(1.0)
-        )
+        budget = geo.picard_budget
         term = math.inf
         m = 0
         for m in range(1, cfg.max_iter + 1):
-            node, edge = self._channel_prefix(c_node, c_edge)
-            c_node = np.sum(self.u_node * node, axis=0)
-            c_edge = np.sum(self.u_edge * edge, axis=0)
-            c_edge[0] = 0.0
+            c_node, c_edge = self.term(c_node, c_edge)
             y_node += c_node
             y_edge += c_edge
             term = float(np.max(np.abs(c_node)))
@@ -522,7 +582,7 @@ class _Engine:
             )
         if not (np.all(np.isfinite(y_node)) and np.all(np.isfinite(y_edge))):
             raise NumericalError("solution overflowed or produced NaN")
-        return y_node, y_edge, m
+        return np.ascontiguousarray(y_node.T), y_edge, m
 
     def recover(self, init: InitialTriple, y_node, y_edge):
         """Derivative and w rows from the exact moment identities.

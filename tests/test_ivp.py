@@ -442,6 +442,14 @@ def test_origin_point_mass_is_inert():
     # p only acts through jumps, so an origin mass there is inert too
     pa = solve_picard(Measure.point(0.0, 3.0), q, lam, init)
     assert abs(pa.y_at_one - a.y_at_one) < 1e-10
+    # the Picard budget does not count it either: the same terms run
+    assert a.n_terms == b.n_terms
+    p = Measure.point(0.4, 0.3)
+    plain = solve_picard(p, Measure.lebesgue(0.5), 64.0, init)
+    with_atom = solve_picard(
+        p, Measure.lebesgue(0.5).plus(Measure.point(0.0, 1.0)), 64.0, init)
+    assert plain.n_terms == with_atom.n_terms == 6
+    assert abs(plain.y_at_one - with_atom.y_at_one) <= 1e-12 * abs(plain.y_at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +517,7 @@ def test_array_evaluation_matches_scalar_and_oracle(problem):
 
 
 # ---------------------------------------------------------------------------
-# Picard engine: mixed channel and factored exponentials, property-based
+# Picard engine: edge channels, in-cell kernel and initial rows, property-based
 
 
 def _kernel_geometry(mesh, seed, lam):
@@ -598,9 +606,8 @@ def test_mixed_channel_term_matches_direct_construction(case):
     edge_vals = y1e + 0.5 * y2e - 0.25j * y3e
     want_node, want_edge = _reference_term(geo, lam_eff, vals, edge_vals)
     eng = ivp._Engine(geo, lam_eff, SolverConfig())
-    node, edge = eng._channel_prefix(vals, edge_vals)
-    got_node = np.sum(eng.u_node * node, axis=0)
-    got_edge = np.sum(eng.u_edge * edge, axis=0)
+    got_node, got_edge = eng.term(vals.T, edge_vals)  # node-major in and out
+    got_node = got_node.T
     for got, want in ((got_node, want_node), (got_edge, want_edge)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the lambda-free moment tensors share the batched contraction
@@ -609,6 +616,44 @@ def test_mixed_channel_term_matches_direct_construction(case):
                      (geo.m_p1, geo.w_plain * geo.tau)):
         want = np.einsum("bsi,bsa->bai", w_sub, ivp._PARTIAL_L)
         assert np.max(np.abs(m - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+    if mesh == "many":
+        assert len(geo.widths) >= 40
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(kernel_cases())
+@example(("many", 2, 2e6 - 1e6j))
+@example(("uniform", 6, -7e5j))
+@example(("refined", 7, -2e6 + 0j))
+@example(("many", 8, 0.02 + 0.01j))
+def test_engine_initial_rows_match_zero_potential_rows(case):
+    """The engine's rows y0 y1 + z0 y2 + w0 y3 from its own exponentials.
+
+    The bound is relative to the size of the exponential sum at each point,
+    sum_j |c_j exp(i omega^j k x)|, not to its value: where two growing
+    channels cancel (lambda near the imaginary axis), any float evaluation
+    of the sum errs by rounding of that size, zero_potential_rows included.
+    """
+    mesh, seed, lam = case
+    geo, lam_eff = _kernel_geometry(mesh, seed, lam)
+    eng = ivp._Engine(geo, lam_eff, SolverConfig())
+    k = cube_root(lam_eff)
+    a2 = ivp._OMEGA_NEG / (3j * k)
+    a3 = -ivp._OMEGA_POW / (3.0 * k * k)
+    growth = -(k * ivp._OMEGA_POW).imag
+    for init in ivp._CANONICAL + (InitialTriple(0.3, -1.0, 2.5j),):
+        node, edge = eng.initial_rows(init)
+        coef = np.abs(init.y0 / 3.0 + init.z0 * a2 + init.w0 * a3)
+        for got, pts in ((node.T.ravel(), geo.tg.ravel()), (edge, geo.edges)):
+            y1, y2, y3 = zero_potential_rows(lam_eff, pts)
+            want = init.y0 * y1 + init.z0 * y2 + init.w0 * y3
+            size = coef @ np.exp(np.multiply.outer(growth, pts))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, size))
+    # nodes lie on both sides of the series switch |k x| = 0.5 once |k|
+    # passes it; the shifted problems have |k| > 0.99
+    reach = np.abs(k * geo.tg.ravel())
+    assert np.any(reach < ivp._SERIES_SWITCH)
+    assert np.any(reach > ivp._SERIES_SWITCH) or abs(k) < 0.9
     if mesh == "many":
         assert len(geo.widths) >= 40
 
