@@ -28,8 +28,7 @@ from .ivp import (
     InitialTriple,
     SolverConfig,
     Workspace,
-    _assemble_path,
-    _solve_verified,
+    _solve_columns,
     solve_value,
 )
 from .measure import Measure
@@ -96,9 +95,13 @@ def boundary_matrix(p: Measure, q: Measure, lam, xi,
     xi = _check_xi(xi)
     cfg = cfg or SolverConfig()
     ws = workspace if workspace is not None else Workspace(p, q)
-    eng, results = _solve_verified(ws, complex(lam), (_E1, _E2), cfg)
-    c1 = _assemble_path(eng, complex(lam), _E1, results[0])
-    c2 = _assemble_path(eng, complex(lam), _E2, results[1])
+    _, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
+    return _pairing_matrix(cols, xi)
+
+
+def _pairing_matrix(cols, xi) -> np.ndarray:
+    """M_xi from the first two canonical columns."""
+    c1, c2 = cols
     sign = (-1.0) ** xi
     return np.array(
         [

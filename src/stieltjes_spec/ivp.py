@@ -344,43 +344,22 @@ class _Geometry:
         new_edges[1::2] = mids
         return _Geometry(self.p, self.q, new_edges, self.picard_budget)
 
-    # -- generic prefix accumulation over this mesh ----------------------
+    def prefix(self, vals, weights, moments, jumps=()):
+        """Integrals of f against one measure from 0 to every node and edge.
 
-    def prefix_dx(self, vals, weight=None):
-        """Integrals of (weight * f) dx from 0 to every Gauss node and edge.
-
-        vals holds f at the Gauss nodes, shape (n, 6); weight is None, "q"
-        or "t".  Returns node integrals (n, 6) and edge integrals (n+1,).
+        vals holds f at the Gauss nodes, shape (n, 6); weights are the
+        Gauss weights times the measure's density there, (n, 6), and
+        moments the matching partial tensor (6, 6, n) of _partial_moments.
+        jumps lists (edge index, mass) for the atoms: a mass counts at its
+        own edge and beyond (right-continuous convention).  Returns node
+        integrals (n, 6) and edge integrals (n+1,).
         """
-        if weight is None:
-            gw, m = self.gw, self.m_p0
-        elif weight == "q":
-            gw, m = self.gw * self.qg, self.m_q0
-        elif weight == "t":
-            gw, m = self.gw * self.tg, self.m_p1
-        else:
-            raise ValueError(weight)
-        cell = np.sum(gw * vals, axis=1)
+        cell = np.sum(weights * vals, axis=1)
         edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        node = edge[:-1, None] + np.einsum("bai,ia->ib", m, vals)
-        return node, edge
-
-    def prefix_dmu(self, vals, edge_vals, moment: int):
-        """Same, against d(q + i p): density part plus interior atoms.
-
-        moment 0 integrates f dmu; moment 1 integrates t f dmu.  Nodes in
-        cell i pick up atoms at edges <= i; edge l includes an atom sitting
-        exactly at edge l (right-continuous convention).
-        """
-        m = self.m_rho0 if moment == 0 else self.m_rho1
-        gw = self.gw * self.rho_g if moment == 0 else self.gw * self.rho_g * self.tg
-        cell = np.sum(gw * vals, axis=1)
-        edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        node = edge[:-1, None] + np.einsum("bai,ia->ib", m, vals)
-        for idx, x_a, d_mu, _ in self.atoms:
-            contrib = d_mu * edge_vals[idx] * (x_a if moment else 1.0)
-            node[idx:, :] += contrib
-            edge[idx:] += contrib
+        node = edge[:-1, None] + np.einsum("bai,ia->ib", moments, vals)
+        for idx, mass in jumps:
+            node[idx:, :] += mass
+            edge[idx:] += mass
         return node, edge
 
 
@@ -585,30 +564,35 @@ class _Engine:
         return np.ascontiguousarray(y_node.T), y_edge, m
 
     def recover(self, init: InitialTriple, y_node, y_edge):
-        """Derivative and w rows from the exact moment identities.
+        """Stacked (y, y', w) at every node (3, n, 6) and edge (3, n+1).
 
-        With dnu = d(q + i p) - i lambda dt and integrals over (0, x]:
+        y' and w come from the exact moment identities.  With
+        dnu = d(q + i p) - i lambda dt and integrals over (0, x]:
             y'(x) = z0 + w0 x - 2 int q y dt + int (x - t) y dnu,
             w(x)  = w0 - 2 q(x) y(x) + int y dnu.
         """
         geo = self.geo
         il = 1j * self.lam
-        q0_n, q0_e = geo.prefix_dx(y_node, weight="q")
-        p0_n, p0_e = geo.prefix_dx(y_node)
-        p1_n, p1_e = geo.prefix_dx(y_node, weight="t")
-        r0_n, r0_e = geo.prefix_dmu(y_node, y_edge, 0)
-        r1_n, r1_e = geo.prefix_dmu(y_node, y_edge, 1)
-        nu0_n = r0_n - il * p0_n
-        nu0_e = r0_e - il * p0_e
-        nu1_n = r1_n - il * p1_n
-        nu1_e = r1_e - il * p1_e
-        yp_node = init.z0 + init.w0 * geo.tg - 2.0 * q0_n + geo.tg * nu0_n - nu1_n
-        yp_edge = (
-            init.z0 + init.w0 * geo.edges - 2.0 * q0_e + geo.edges * nu0_e - nu1_e
+        gw_rho = geo.gw * geo.rho_g
+        parts = (
+            geo.prefix(y_node, geo.gw * geo.qg, geo.m_q0),
+            geo.prefix(y_node, geo.gw, geo.m_p0),
+            geo.prefix(y_node, geo.gw * geo.tg, geo.m_p1),
+            geo.prefix(y_node, gw_rho, geo.m_rho0,
+                       [(i, d_mu * y_edge[i]) for i, _, d_mu, _ in geo.atoms]),
+            geo.prefix(y_node, gw_rho * geo.tg, geo.m_rho1,
+                       [(i, d_mu * y_edge[i] * x_a) for i, x_a, d_mu, _ in geo.atoms]),
         )
-        w_node = init.w0 - 2.0 * geo.qg * y_node + nu0_n
-        w_edge = init.w0 - 2.0 * geo.q_edge * y_edge + nu0_e
-        return yp_node, yp_edge, w_node, w_edge
+        out = []
+        # the same identities at the nodes, then at the edges
+        for y, x, drift, (q0, p0, p1, r0, r1) in zip(
+                (y_node, y_edge), (geo.tg, geo.edges), (geo.qg, geo.q_edge),
+                zip(*parts)):
+            nu0 = r0 - il * p0
+            nu1 = r1 - il * p1
+            out.append(np.stack([y, init.z0 + init.w0 * x - 2.0 * q0 + x * nu0 - nu1,
+                                 init.w0 - 2.0 * drift * y + nu0]))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -616,42 +600,41 @@ class _Engine:
 
 
 class SolutionPath:
-    """State of one solve: nodes, values, one-sided w, jump records.
+    """State of one solve: the channels y, y', w at nodes and mesh edges.
 
-    nodes are the mesh edges; y and yprime are continuous, w_post carries the
-    right-continuous value and w_pre the left limit (they differ only at
-    atoms).  eval_y, eval_yprime and eval_w take a point or an array of
-    points in [0, 1]; off-node points interpolate the internal Gauss values.
+    edge holds the three channels at the mesh edges, shape (3, n+1), and
+    node at the Gauss nodes, shape (3, n, 6); y, yprime and w_post are row
+    views of edge.  nodes are the mesh edges; y and yprime are continuous,
+    w_post carries the right-continuous value and w_pre the left limit
+    (they differ only at atoms).  eval_y, eval_yprime and eval_w take a
+    point or an array of points in [0, 1]; off-node points interpolate the
+    Gauss values.
     """
 
-    def __init__(self, lam, init, geo, y_node, y_edge, yp_node, yp_edge,
-                 w_node, w_edge, n_terms, extra_jumps=()):
+    def __init__(self, lam, init, geo, node, edge, n_terms, extra_jumps=()):
         self.lam = complex(lam)
         self.init = init
         self.nodes = geo.edges
-        self.y = y_edge
-        self.yprime = yp_edge
-        self.w_post = w_edge
+        self.node = node
+        self.edge = edge
+        self.y, self.yprime, self.w_post = edge
         deltas: dict[int, complex] = {}
         locs: dict[int, float] = {}
         for idx, x_a, _, d_conj in geo.atoms:
-            deltas[idx] = deltas.get(idx, 0.0) - y_edge[idx] * d_conj
+            deltas[idx] = deltas.get(idx, 0.0) - self.y[idx] * d_conj
             locs[idx] = x_a
         for x_a, delta in extra_jumps:
             idx = int(np.searchsorted(geo.edges, x_a))
             deltas[idx] = deltas.get(idx, 0.0) + delta
             locs[idx] = x_a
-        w_pre = w_edge.copy()
+        w_pre = self.w_post.copy()
         jumps = []
         for idx, delta in sorted(deltas.items()):
-            w_pre[idx] = w_edge[idx] - delta
+            w_pre[idx] = self.w_post[idx] - delta
             jumps.append((locs[idx], complex(delta)))
         self.w_pre = w_pre
         self.jumps = jumps
         self.n_terms = n_terms
-        self._y_node = y_node
-        self._yp_node = yp_node
-        self._w_node = w_node
 
     # -- boundary accessors ----------------------------------------------
 
@@ -686,15 +669,13 @@ class SolutionPath:
 
     def _values(self, channel: int, xs: np.ndarray, side: str) -> np.ndarray:
         """Edge values at mesh edges, interpolated Gauss values elsewhere."""
-        edge_vals = (self.y, self.yprime,
-                     self.w_post if side == "right" else self.w_pre)[channel]
-        node_vals = (self._y_node, self._yp_node, self._w_node)[channel]
+        edge_vals = self.w_pre if channel == 2 and side == "left" else self.edge[channel]
         j = np.searchsorted(self.nodes, xs)  # nodes end at 1.0: j stays in range
         on_edge = self.nodes[j] == xs
         out = np.empty(len(xs), dtype=complex)
         out[on_edge] = edge_vals[j[on_edge]]
         off = ~on_edge
-        out[off] = _interp(node_vals, self.nodes, xs[off], j[off] - 1)
+        out[off] = _interp(self.node[channel], self.nodes, xs[off], j[off] - 1)
         return out
 
     def eval_y(self, x):
@@ -783,11 +764,17 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
     )
 
 
-def _assemble_path(eng: _Engine, lam: complex, init: InitialTriple, result):
-    y_node, y_edge, n_terms = result
-    yp_node, yp_edge, w_node, w_edge = eng.recover(init, y_node, y_edge)
-    return SolutionPath(lam, init, eng.geo, y_node, y_edge, yp_node, yp_edge,
-                        w_node, w_edge, n_terms)
+def _solve_columns(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
+    """Verified solves of several initial triples on one shared mesh.
+
+    Returns the mesh geometry and one SolutionPath per triple.
+    """
+    eng, results = _solve_verified(ws, lam, inits, cfg)
+    paths = [
+        SolutionPath(lam, init, eng.geo, *eng.recover(init, y_node, y_edge), n_terms)
+        for init, (y_node, y_edge, n_terms) in zip(inits, results)
+    ]
+    return eng.geo, paths
 
 
 def solve_picard(p: Measure, q: Measure, lam: complex, init: InitialTriple,
@@ -798,8 +785,8 @@ def solve_picard(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     if not isinstance(init, InitialTriple):
         init = InitialTriple(*init)
     ws = workspace if workspace is not None else Workspace(p, q)
-    eng, results = _solve_verified(ws, lam, [init], cfg)
-    return _assemble_path(eng, lam, init, results[0])
+    _, (path,) = _solve_columns(ws, lam, [init], cfg)
+    return path
 
 
 def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
@@ -929,7 +916,8 @@ class TransferPath(SolutionPath):
                 state = _propagator(q_c, self.lam, end - start) @ state
         self.nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 129)) | set(atom_xs)))
         post = np.array([self._state(float(x), "right") for x in self.nodes])
-        self.y, self.yprime, self.w_post = post.T.copy()
+        self.edge = post.T.copy()
+        self.y, self.yprime, self.w_post = self.edge
         self.w_pre = self.w_post.copy()
         self.jumps = []
         for i, x in enumerate(self.nodes):
@@ -988,11 +976,7 @@ class FundamentalPath:
         ws = workspace if workspace is not None else Workspace(p, q)
         self.lam = complex(lam)
         self.cfg = cfg
-        eng, results = _solve_verified(ws, lam, _CANONICAL, cfg)
-        self.columns = [
-            _assemble_path(eng, lam, t, r) for t, r in zip(_CANONICAL, results)
-        ]
-        self._geo = eng.geo
+        self._geo, self.columns = _solve_columns(ws, lam, _CANONICAL, cfg)
 
     def matrix(self, x: float) -> np.ndarray:
         cols = [
@@ -1048,51 +1032,37 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
     fp = FundamentalPath(p, q, lam, cfg, ws)
     geo = fp._geo
     tg, edges = geo.tg, geo.edges
-    y_rows_n = np.stack([c._y_node for c in fp.columns], axis=-1)
-    yp_rows_n = np.stack([c._yp_node for c in fp.columns], axis=-1)
-    w_rows_n = np.stack([c._w_node for c in fp.columns], axis=-1)
-    y_rows_e = np.stack([c.y for c in fp.columns], axis=-1)
-    yp_rows_e = np.stack([c.yprime for c in fp.columns], axis=-1)
-    w_rows_e = np.stack([c.w_post for c in fp.columns], axis=-1)
+    # rows[c, ..., j] is channel c of the j-th canonical column
+    rows_n = np.stack([c.node for c in fp.columns], axis=-1)
+    rows_e = np.stack([c.edge for c in fp.columns], axis=-1)
 
     h_node = np.asarray([h(float(t)) for t in tg.ravel()], dtype=complex)
     h_node = h_node.reshape(tg.shape)
     h_edge = np.asarray([h(float(x)) for x in edges], dtype=complex)
-    g_node = _adjugate_column3(y_rows_n, yp_rows_n) * h_node[..., None]
-    g_edge = _adjugate_column3(y_rows_e, yp_rows_e) * h_edge[..., None]
+    g_node = _adjugate_column3(rows_n[0], rows_n[1]) * h_node[..., None]
+    g_edge = _adjugate_column3(rows_e[0], rows_e[1]) * h_edge[..., None]
 
-    rho_nu = nu.density_many(tg.ravel()).reshape(tg.shape)
+    jumps, extra_jumps = [], []
+    for a in nu.atoms:
+        idx = int(np.searchsorted(edges, a.x))
+        if idx >= len(edges) or abs(edges[idx] - a.x) > 1e-13:
+            raise BadArgumentError(f"forcing atom at {a.x} is not a mesh edge")
+        jumps.append((idx, a.w * g_edge[idx]))
+        if a.x > 0:
+            extra_jumps.append((a.x, a.w * complex(h_edge[idx])))
+    weights = geo.gw * nu.density_many(tg.ravel()).reshape(tg.shape)
     tau_rho = nu.density_many(geo.tau.reshape(-1)).reshape(geo.tau.shape)
     m_nu = _partial_moments(geo.w_plain * tau_rho)
     j_node = np.empty(tg.shape + (3,), dtype=complex)
     j_edge = np.empty((len(edges), 3), dtype=complex)
     for comp in range(3):
-        vals = g_node[..., comp]
-        cell = np.sum(geo.gw * rho_nu * vals, axis=1)
-        edge = np.concatenate([[0.0 + 0.0j], np.cumsum(cell)])
-        j_node[..., comp] = edge[:-1, None] + np.einsum("bai,ia->ib", m_nu, vals)
-        j_edge[:, comp] = edge
-    extra_jumps = []
-    for a in nu.atoms:
-        idx = int(np.searchsorted(edges, a.x))
-        if idx >= len(edges) or abs(edges[idx] - a.x) > 1e-13:
-            raise BadArgumentError(f"forcing atom at {a.x} is not a mesh edge")
-        contrib = a.w * g_edge[idx]
-        if a.x > 0:
-            j_node[idx:] += contrib
-            j_edge[idx:] += contrib
-            extra_jumps.append((a.x, a.w * complex(h_edge[idx])))
-        else:
-            j_node += contrib
-            j_edge += contrib
+        j_node[..., comp], j_edge[:, comp] = geo.prefix(
+            g_node[..., comp], weights, m_nu,
+            [(idx, mass[comp]) for idx, mass in jumps])
 
     vec = init.as_vector()
-    y_node = np.einsum("iaj,iaj->ia", y_rows_n, vec + j_node)
-    yp_node = np.einsum("iaj,iaj->ia", yp_rows_n, vec + j_node)
-    w_node = np.einsum("iaj,iaj->ia", w_rows_n, vec + j_node)
-    y_edge = np.einsum("ej,ej->e", y_rows_e, vec + j_edge)
-    yp_edge = np.einsum("ej,ej->e", yp_rows_e, vec + j_edge)
-    w_edge = np.einsum("ej,ej->e", w_rows_e, vec + j_edge)
-    return SolutionPath(lam, init, geo, y_node, y_edge, yp_node, yp_edge,
-                        w_node, w_edge, max(c.n_terms for c in fp.columns),
+    node = np.einsum("ciaj,iaj->cia", rows_n, vec + j_node)
+    edge = np.einsum("cej,ej->ce", rows_e, vec + j_edge)
+    return SolutionPath(lam, init, geo, node, edge,
+                        max(c.n_terms for c in fp.columns),
                         extra_jumps=extra_jumps)

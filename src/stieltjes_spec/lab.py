@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charfn import _check_xi
 from .errors import BadArgumentError, NumericalError, UnsupportedMultiplicityError
 from .ivp import (
     FundamentalPath,
@@ -29,6 +30,7 @@ from .ivp import (
     zero_potential_rows,
 )
 from .measure import Measure, lebesgue_integral_of_induced
+from .sens import _check_channel
 from .spectrum import SpectrumConfig, find_eigenvalue
 
 # continuity sups are taken over this many uniform points plus every
@@ -125,8 +127,7 @@ def weakstar_eig(builder, m_values, limit: Measure, fixed: Measure,
     stays at `fixed`. A tracking failure at some m is reported as a NaN
     entry (and sinks the verdict) instead of aborting the sweep.
     """
-    if channel not in ("p", "q"):
-        raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
+    _check_channel(channel)
     m_values = tuple(m_values)
     if not m_values:
         raise BadArgumentError("need at least one sequence index")
@@ -262,7 +263,7 @@ def bound_audit(p: Measure, q: Measure, lams, cfg: SolverConfig | None = None
         worst_sol = 0.0
         worst_cmp = 0.0
         for j, col in enumerate(fp.columns, start=1):
-            vals = np.concatenate([col._y_node.ravel(), col.y])[order]
+            vals = np.concatenate([col.node[0].ravel(), col.y])[order]
             bound_sol = 3.0 / abs(k) ** (j - 1) * envelope
             bound_cmp = 3.0 / abs(k) ** j * envelope
             r_sol = np.abs(vals) / bound_sol
@@ -300,8 +301,7 @@ def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
     The linear correction uses the Lebesgue integral of the induced
     function of q; the lattice base point is (2n + xi - 1) pi.
     """
-    if xi not in (1, 2):
-        raise BadArgumentError(f"xi must be 1 or 2, got {xi}")
+    xi = _check_xi(xi)
     n_min, n_max = int(n_min), int(n_max)
     if n_min > n_max:
         raise BadArgumentError("need n_min <= n_max")

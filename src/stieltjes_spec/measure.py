@@ -88,6 +88,10 @@ class PolynomialPiece:
             )
         if len(self.coeffs) == 0:
             raise MeasureFormatError("piece needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise MeasureFormatError(
+                f"piece [{self.lo}, {self.hi}] has a non-finite coefficient"
+            )
 
     @property
     def length(self) -> float:
@@ -133,6 +137,8 @@ class Atom:
             raise MeasureFormatError(f"atom position {self.x} outside [0, 1]")
         if self.w == 0.0:
             raise MeasureFormatError(f"atom at {self.x} has zero weight")
+        if not math.isfinite(self.w):
+            raise MeasureFormatError(f"atom at {self.x} has non-finite weight {self.w}")
 
 
 @dataclass(frozen=True)

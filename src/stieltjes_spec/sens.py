@@ -78,6 +78,11 @@ class FdRow(NamedTuple):
     abs_error: float
 
 
+def _check_channel(channel):
+    if channel not in ("p", "q"):
+        raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
+
+
 def _require_simple(pair: Eigenpair):
     if pair.g_mult != 1 or pair.E is None:
         raise UnsupportedMultiplicityError(
@@ -182,8 +187,7 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     window; a tracking jump raises rather than silently comparing different
     branches.
     """
-    if channel not in ("p", "q"):
-        raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
+    _check_channel(channel)
     cfg = cfg or SpectrumConfig()
     ws = _nu_workspace(p, q, nu, 1.0)
     base = find_eigenvalue(p, q, xi, n, cfg, ws)
@@ -214,8 +218,7 @@ def fundamental_fd_check(p: Measure, q: Measure, lam: complex, nu: Measure,
 
     Returns (fd_matrix, formula_matrix, max entrywise abs error).
     """
-    if channel not in ("p", "q"):
-        raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
+    _check_channel(channel)
     if epsilon <= 0:
         raise BadArgumentError("finite difference steps must be positive")
     cfg = cfg or SolverConfig()

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import _E1, _E2, _mirror_residue
+from .charfn import _E1, _E2, _check_xi, _mirror_residue, _pairing_matrix
 from .errors import (
     BadArgumentError,
     ContourResolutionError,
@@ -41,8 +41,7 @@ from .ivp import (
     SolutionPath,
     SolverConfig,
     Workspace,
-    _assemble_path,
-    _solve_verified,
+    _solve_columns,
     solve_value,
 )
 from .measure import Measure
@@ -108,8 +107,7 @@ class Eigenpair:
 def counting_threshold(p: Measure, q: Measure, xi, c_pi: float | None = None,
                        cfg: SpectrumConfig | None = None) -> int:
     """Smallest tail index N certified by the a-priori growth bound."""
-    if xi not in (1, 2):
-        raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
+    xi = _check_xi(xi)
     cfg = cfg or SpectrumConfig()
     c = cfg.c_pi if c_pi is None else float(c_pi)
     if c <= 0:
@@ -137,8 +135,7 @@ def counting_threshold(p: Measure, q: Measure, xi, c_pi: float | None = None,
 
 def localize(xi, n) -> tuple[float, float]:
     """The k-window (center - pi/3, center + pi/3) for the n-th root."""
-    if xi not in (1, 2):
-        raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
+    xi = _check_xi(xi)
     center = (2 * int(n) + xi - 1) * math.pi
     return center - math.pi / 3.0, center + math.pi / 3.0
 
@@ -171,8 +168,7 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     its own k-circle, which the cube maps injectively away from 0.
     """
     cfg = cfg or SpectrumConfig()
-    if xi not in (1, 2):
-        raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
+    xi = _check_xi(xi)
     center = float(center)
     radius = float(radius)
     if radius <= 0:
@@ -232,6 +228,11 @@ def _root_fn(p, q, xi, cfg, ws):
                                      verify=False).imag
     return lambda k: solve_value(p, q, k**3, _E1, cfg.solver, ws,
                                  verify=False).real
+
+
+def _sign_changes(vals) -> list[int]:
+    """Indices i of a sampled grid where vals[i] and vals[i + 1] differ in sign."""
+    return [i for i in range(len(vals) - 1) if (vals[i] < 0) != (vals[i + 1] < 0)]
 
 
 def _refine_bracket(f, lo, hi, f_lo, f_hi, tol):
@@ -348,19 +349,15 @@ def _golden_min(g, lo, hi, iters=60):
 
 
 def _combine(geo, lam, cols, coefs):
-    y_n = coefs[0] * cols[0]._y_node + coefs[1] * cols[1]._y_node
-    y_e = coefs[0] * cols[0].y + coefs[1] * cols[1].y
-    yp_n = coefs[0] * cols[0]._yp_node + coefs[1] * cols[1]._yp_node
-    yp_e = coefs[0] * cols[0].yprime + coefs[1] * cols[1].yprime
-    w_n = coefs[0] * cols[0]._w_node + coefs[1] * cols[1]._w_node
-    w_e = coefs[0] * cols[0].w_post + coefs[1] * cols[1].w_post
-    init = InitialTriple(coefs[0], coefs[1], 0)
-    terms = max(c.n_terms for c in cols)
-    return SolutionPath(lam, init, geo, y_n, y_e, yp_n, yp_e, w_n, w_e, terms)
+    a, b = coefs
+    return SolutionPath(lam, InitialTriple(a, b, 0), geo,
+                        a * cols[0].node + b * cols[1].node,
+                        a * cols[0].edge + b * cols[1].edge,
+                        max(c.n_terms for c in cols))
 
 
 def _l2_norm_sq(geo, path) -> float:
-    return float(np.sum(geo.gw * np.abs(path._y_node) ** 2))
+    return float(np.sum(geo.gw * np.abs(path.node[0]) ** 2))
 
 
 def _kernel_coefficients(m: np.ndarray):
@@ -381,24 +378,16 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
     """Package the eigenpair at an already-located real eigenvalue."""
     cfg = cfg or SpectrumConfig()
-    if xi not in (1, 2):
-        raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
+    xi = _check_xi(xi)
     lam = float(lam)
     ws = workspace if workspace is not None else Workspace(p, q)
-    eng, results = _solve_verified(ws, complex(lam), (_E1, _E2), cfg.solver)
-    cols = [_assemble_path(eng, complex(lam), t, r)
-            for t, r in zip((_E1, _E2), results)]
-    sign = (-1.0) ** xi
-    m = np.array([
-        [cols[0].y_at_one, cols[1].y_at_one],
-        [cols[0].yprime_at_one, cols[1].yprime_at_one + sign],
-    ])
+    geo, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg.solver)
+    m = _pairing_matrix(cols, xi)
     sv = np.linalg.svd(m, compute_uv=False)
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
     residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg.solver)
-    geo = eng.geo
     label = int(n) if n is not None else 0
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
     # just its determinant
@@ -409,7 +398,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
             nrm = math.sqrt(_l2_norm_sq(geo, raw))
             basis.append(_combine(geo, lam, cols,
                                   (coefs[0] / nrm, coefs[1] / nrm)))
-        return Eigenpair(xi=int(xi), n=label, lam=lam, k=k, g_mult=2,
+        return Eigenpair(xi=xi, n=label, lam=lam, k=k, g_mult=2,
                          a=None, b=None, E=None, basis=tuple(basis),
                          bc_residual=float(sv[0]) / col_scale,
                          norm_residual=0.0, realness_residue=residue)
@@ -422,7 +411,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     vec = np.array([a, b])
     bc_res = float(np.max(np.abs(m @ vec))) / (
         col_scale * float(np.max(np.abs(vec))))
-    return Eigenpair(xi=int(xi), n=label, lam=lam, k=k, g_mult=1,
+    return Eigenpair(xi=xi, n=label, lam=lam, k=k, g_mult=1,
                      a=complex(a), b=complex(b), E=path, basis=None,
                      bc_residual=bc_res, norm_residual=norm_res,
                      realness_residue=residue)
@@ -438,10 +427,7 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
     f = _root_fn(p, q, xi, cfg, ws)
     grid = np.linspace(lo, hi, 33)
     vals = [f(float(k)) for k in grid]
-    brackets = [
-        i for i in range(len(grid) - 1)
-        if (vals[i] < 0) != (vals[i + 1] < 0)
-    ]
+    brackets = _sign_changes(vals)
     if not brackets:
         raise RootSearchError(
             "no sign change inside the lattice window",
@@ -502,8 +488,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     window fall back to per-window root search.
     """
     cfg = cfg or SpectrumConfig()
-    if xi not in (1, 2):
-        raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
+    xi = _check_xi(xi)
     n_min, n_max = int(n_min), int(n_max)
     if n_min > n_max:
         raise BadArgumentError("n_min must not exceed n_max")
@@ -521,10 +506,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     m_samples = int(math.ceil(2.0 * radius / _SCAN_STEP)) + 1
     grid = np.linspace(-radius, radius, m_samples)
     vals = [f(float(k)) for k in grid]
-    brackets = [
-        i for i in range(len(grid) - 1)
-        if (vals[i] < 0) != (vals[i + 1] < 0)
-    ]
+    brackets = _sign_changes(vals)
     # coarse root list: (position, multiplicity, bracket index or None);
     # bracket order on the grid already fixes the sorted order, so only
     # requested slots get refined

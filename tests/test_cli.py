@@ -105,6 +105,19 @@ def test_malformed_measure_file_exits_2(capsys, tmp_path):
     assert err["exit"] == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "1"],
+    ["eig", "--bc", "1", "--n-min", "1", "--n-max", "1"],
+])
+def test_non_finite_measure_file_exits_2(capsys, tmp_path, command):
+    f = tmp_path / "nan.json"
+    f.write_text('{"atoms": [{"x": 0.5, "w": NaN}]}')
+    assert main(command + ["--p", str(f)]) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "MEASURE_FORMAT"
+    assert err["exit"] == 2
+
+
 def test_numerical_failure_exits_3(capsys):
     assert main(["solve", "--q", "density:[240]", "--lambda", "1"]) == 3
     err = _stderr_error(capsys)

@@ -489,14 +489,14 @@ def test_array_evaluation_matches_scalar_and_oracle(problem):
     atoms = [a.x for a in p.atoms + q.atoms]
     xs = np.concatenate([points, [0.0, 1.0, lo], atoms, gauss])
     # a Gauss node hands back the stored node value itself
-    assert np.array_equal(path.eval_y(gauss), path._y_node[3])
+    assert np.array_equal(path.eval_y(gauss), path.node[0][3])
     # off the nodes: the Lagrange form of the same degree-5 interpolant
     inner = np.array([x for x in points if x not in path.nodes])
     cells = np.searchsorted(path.nodes, inner) - 1
     left, right = path.nodes[cells], path.nodes[cells + 1]
     basis = ivp._lagrange_matrix(2.0 * (inner - left) / (right - left) - 1.0)
-    want = np.einsum("ma,ma->m", basis, path._y_node[cells])
-    scale = np.max(np.abs(path._y_node[cells]), axis=1, initial=1.0)
+    want = np.einsum("ma,ma->m", basis, path.node[0][cells])
+    scale = np.max(np.abs(path.node[0][cells]), axis=1, initial=1.0)
     assert np.all(np.abs(path.eval_y(inner) - want) <= 1e-13 * scale)
     for sol in (path, oracle):
         channels = ((sol.eval_y, ()), (sol.eval_yprime, ()),

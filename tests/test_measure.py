@@ -226,6 +226,18 @@ def test_validation_rejects_malformed_input():
         Measure.from_json('{"pieces": [], "extra": 1}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"atoms": [{"x": 0.5, "w": NaN}]}',
+    '{"atoms": [{"x": 0.5, "w": -Infinity}]}',
+    '{"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0, NaN]}]}',
+    '{"pieces": [{"lo": 0.2, "hi": 0.7, "coeffs": [Infinity]}]}',
+])
+def test_non_finite_values_are_format_errors(text):
+    # Python's json reads NaN and Infinity; the measure must refuse them
+    with pytest.raises(MeasureFormatError):
+        Measure.from_json(text)
+
+
 def test_breakpoints_sorted_union():
     mu = Measure(
         pieces=(PolynomialPiece(0.2, 0.4, (1.0,)),),
