@@ -13,6 +13,7 @@ from stieltjes_spec.errors import (
     NumericalError,
     UnsupportedMeasureError,
 )
+from stieltjes_spec.charfn import real_split
 from stieltjes_spec.measure import Measure, ramp_sequence
 from stieltjes_spec import ivp
 from stieltjes_spec.ivp import (
@@ -91,6 +92,62 @@ def test_zero_potential_rows_series_matches_exponential():
             y3 = -np.sum(ivp._OMEGA_POW * e[:, 0]) / (3 * k * k)
             for a, b in zip(got, (y1, y2, y3)):
                 assert abs(a[0] - b) <= 1e-13 * max(1.0, abs(b))
+
+
+@st.composite
+def series_cases(draw):
+    """lambda (0, below the shift threshold, or general) and points s.
+
+    The points lie on both sides of the series switch |k s| = 0.5, up to
+    |k s| = 1, and within [0, 1].
+    """
+    kind = draw(st.sampled_from(("zero", "shifted", "general")))
+    angle = draw(st.floats(-math.pi, math.pi))
+    if kind == "zero":
+        lam = 0j
+    elif kind == "shifted":
+        lam = cmath.rect(draw(st.floats(0.0, ivp._SHIFT_MIN, exclude_max=True)), angle)
+    else:
+        lam = cmath.rect(10.0 ** draw(st.floats(-3.0, math.log10(7.4e7))), angle)
+    k = abs(cube_root(lam))
+    reach = ivp._SERIES_SWITCH / k if k > 0 else math.inf
+    # s = 0 or s^2 well inside the normal float range
+    fraction = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+    fractions = draw(st.lists(fraction, min_size=1, max_size=8))
+    return lam, [min(1.0, f * reach) for f in fractions]
+
+
+def _series_reference(mpmath, lam, s):
+    """(y1, y2, y3) at s from the power series in u = -i lambda s^3."""
+    s = mpmath.mpf(s)
+    u = -1j * mpmath.mpc(lam) * s**3
+    return [s**j * mpmath.fsum(u**m / mpmath.factorial(3 * m + j) for m in range(30))
+            for j in range(3)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_cases())
+@example((0j, [0.0, 0.3, 1.0]))
+@example((0.02 - 0.01j, [0.0, 1.0]))
+@example((-7e5j, [0.005, 0.00563, 0.00564, 0.0112]))
+def test_zero_potential_rows_series_matches_mpmath(case):
+    """Each series entry within 1e-15 of its own value (40-digit reference).
+
+    The exponential side of the switch, where the channel sums cancel to
+    O(|k s|^2), is checked against the same reference at 1e-14.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lam, pts = case
+    got = zero_potential_rows(lam, pts)
+    on_series = abs(cube_root(lam)) * np.asarray(pts) < ivp._SERIES_SWITCH
+    with mpmath.workdps(40):
+        for i, s in enumerate(pts):
+            bound = 1e-15 if on_series[i] else 1e-14
+            for g, want in zip((v[i] for v in got), _series_reference(mpmath, lam, s)):
+                if want == 0:
+                    assert g == 0
+                else:
+                    assert abs(mpmath.mpc(g) - want) <= bound * abs(want)
 
 
 def test_zero_potential_matrix_lambda_zero_is_polynomial():
@@ -690,3 +747,32 @@ def test_sub_roundoff_tolerance_is_refused_even_on_exact_agreement():
     with pytest.raises(MeshRefinementError) as err:
         solve_picard(Measure.zero(), Measure.zero(), 40.0, InitialTriple(1, 0, 0), cfg)
     assert err.value.context["gap"] == 0.0
+
+
+_RECOVERY_TENSORS = ("m_rho0", "m_rho1", "m_q0", "m_p0", "m_p1")
+
+
+def test_recovery_tensors_are_built_on_first_use():
+    """Value-only solves leave the moment tensors unbuilt; a path builds them.
+
+    The path then equals one from a fresh workspace bit for bit.
+    """
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    init = InitialTriple(0.3, -1.0, 2.5j)
+    ws = Workspace(p, q)
+    real_split(p, q, 40.0, workspace=ws)
+    # a finer base mesh: |k| = 31 needs 512 cells
+    solve_value(p, q, -3e4 + 40.0j, init, workspace=ws, verify=False)
+    assert len(ws._cache) == 3
+    for geo in ws._cache.values():
+        assert not set(_RECOVERY_TENSORS) & set(vars(geo))
+    path = solve_picard(p, q, 40.0, init, workspace=ws)
+    (geo,) = [g for g in ws._cache.values() if g.edges is path.nodes]
+    assert set(_RECOVERY_TENSORS) <= set(vars(geo))
+    fresh = solve_picard(p, q, 40.0, init)
+    for got, want in ((path.edge, fresh.edge), (path.node, fresh.node),
+                      (path.w_pre, fresh.w_pre), (path.nodes, fresh.nodes)):
+        assert got.tobytes() == want.tobytes()
+    assert path.jumps == fresh.jumps
+    assert path.n_terms == fresh.n_terms
