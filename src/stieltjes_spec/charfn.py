@@ -29,6 +29,7 @@ from .ivp import (
     SolverConfig,
     Workspace,
     _solve_columns,
+    _workspace_for,
     solve_value,
 )
 from .measure import Measure
@@ -73,7 +74,7 @@ def real_split(p: Measure, q: Measure, lam, cfg: SolverConfig | None = None,
     """Split y1(1, lambda) for real lambda; reports a conjugation residue."""
     lam_r = _check_real(lam)
     cfg = cfg or SolverConfig()
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     v1 = solve_value(p, q, lam_r, _E1, cfg, ws)
     residue = _mirror_residue(p, q, lam_r, v1, cfg)
     return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
@@ -94,7 +95,7 @@ def boundary_matrix(p: Measure, q: Measure, lam, xi,
     """The 2x2 endpoint pairing matrix M_xi(lambda)."""
     xi = _check_xi(xi)
     cfg = cfg or SolverConfig()
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     _, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
     return _pairing_matrix(cols, xi)
 
@@ -119,7 +120,7 @@ def delta(p: Measure, q: Measure, lam, xi, cfg: SolverConfig | None = None,
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise BadArgumentError("lambda must be finite")
     cfg = cfg or SolverConfig()
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     m = boundary_matrix(p, q, lam, xi, cfg, ws)
     d_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     sign = (-1.0) ** xi

@@ -36,7 +36,8 @@ from .lab import (
 )
 from .measure import Measure, oscillation_sequence, ramp_sequence
 from .sens import fd_check
-from .spectrum import SpectrumConfig, find_eigenvalue, spectrum_scan
+from .spectrum import (_BISECT_TOL, SpectrumConfig, _check_c_pi, find_eigenvalue,
+                       spectrum_scan)
 
 _TOOL = "stieltjes-spec"
 
@@ -279,7 +280,8 @@ def cmd_eig(args) -> int:
     q = parse_measure(args.q)
     if args.n_min > args.n_max:
         raise BadArgumentError("need --n-min <= --n-max")
-    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol), c_pi=args.c_pi,
+    _check_c_pi(args.c_pi)
+    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol),
                          verify_tail_counts=args.verify_count)
     sha = _config_sha({
         "command": "eig", "p": p.to_json(), "q": q.to_json(), "bc": args.bc,
@@ -299,7 +301,7 @@ def cmd_eig(args) -> int:
         for pr in pairs
     ]
     _emit(args, "eig-v1", sha,
-          {"solver_tol": args.tol, "bisect_tol": cfg.bisect_tol,
+          {"solver_tol": args.tol, "bisect_tol": _BISECT_TOL,
            "c_pi": args.c_pi},
           ("xi", "n", "lambda", "k", "a_simple", "g_mult", "bc_residual",
            "norm_residual"), rows)

@@ -54,6 +54,7 @@ _K_CEILING = 420.0
 # mesh rule: cells are refined until |k| * h stays below this
 _KH_MAX = 0.12
 _MAX_DOUBLINGS = 4
+_MAX_TERMS = 200  # Picard terms before a solve is refused as not converging
 _EPS = float(np.finfo(float).eps)
 # root gap (relative to the root scale) below which the transfer propagator
 # leaves the Lagrange-Sylvester sum, whose error grows like eps / gap**2
@@ -233,19 +234,17 @@ class InitialTriple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """mesh_size is the uniform refinement floor, tol the sup-norm target."""
+    """mesh_size is the uniform refinement floor, tol the sup-norm target;
+    the Picard term cap is the module constant _MAX_TERMS."""
 
     mesh_size: int = 256
     tol: float = 1e-9
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.mesh_size < 1:
             raise BadArgumentError("mesh_size must be positive")
-        if not self.tol > 0:
-            raise BadArgumentError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise BadArgumentError("max_iter must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise BadArgumentError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -426,6 +425,15 @@ class Workspace:
         return self._cache[key]
 
 
+def _workspace_for(p: Measure, q: Measure, workspace: Workspace | None) -> Workspace:
+    """workspace, refused unless built for (p, q); a new one when it is None."""
+    if workspace is None:
+        return Workspace(p, q)
+    if (workspace.p, workspace.q) != (p, q):  # identity first, then equality
+        raise BadArgumentError("workspace was built for a different coefficient pair")
+    return workspace
+
+
 # ---------------------------------------------------------------------------
 # Picard engine
 
@@ -584,7 +592,7 @@ class _Engine:
         budget = geo.picard_budget
         term = math.inf
         m = 0
-        for m in range(1, cfg.max_iter + 1):
+        for m in range(1, _MAX_TERMS + 1):
             c_node, c_edge = self.term(c_node, c_edge)
             y_node += c_node
             y_edge += c_edge
@@ -595,7 +603,7 @@ class _Engine:
                 break
         else:
             raise ConvergenceError(
-                f"Picard iteration did not converge in {cfg.max_iter} terms",
+                f"Picard iteration did not converge in {_MAX_TERMS} terms",
                 residual=term / scale,
             )
         if not (np.all(np.isfinite(y_node)) and np.all(np.isfinite(y_edge))):
@@ -823,7 +831,7 @@ def solve_picard(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     cfg = cfg or SolverConfig()
     if not isinstance(init, InitialTriple):
         init = InitialTriple(*init)
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     _, (path,) = _solve_columns(ws, lam, [init], cfg)
     return path
 
@@ -841,7 +849,7 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     cfg = cfg or SolverConfig()
     if not isinstance(init, InitialTriple):
         init = InitialTriple(*init)
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     lam_eff, shift_c = _effective(lam)
     if ws.p.is_zero and ws.q.is_zero and shift_c == 0.0:
         # the closed form is exact: no mesh, nothing to verify
@@ -1012,7 +1020,7 @@ class FundamentalPath:
                  cfg: SolverConfig | None = None,
                  workspace: Workspace | None = None):
         cfg = cfg or SolverConfig()
-        ws = workspace if workspace is not None else Workspace(p, q)
+        ws = _workspace_for(p, q, workspace)
         self.lam = complex(lam)
         self.cfg = cfg
         self._geo, self.columns = _solve_columns(ws, lam, _CANONICAL, cfg)

@@ -19,6 +19,8 @@ from .errors import MeasureFormatError, MeasureParseError, QuadratureError
 
 _ROOT_IMAG_TOL = 1e-9
 _DEDUPE_TOL = 1e-14
+# Hermite cells per period of oscillation_sequence
+_NODES_PER_PERIOD = 96
 
 
 def _shift_poly(coeffs: Sequence[float], d: float) -> tuple[float, ...]:
@@ -363,21 +365,19 @@ def ramp_sequence(m: int) -> Measure:
     return Measure.from_density(0.5, 0.5 + 1.0 / m, (float(m),))
 
 
-def oscillation_sequence(m: int, nodes_per_period: int = 96) -> Measure:
+def oscillation_sequence(m: int) -> Measure:
     """Piecewise cubic density matching d/dx[(1/m) sin(2 pi m^2 x)].
 
     The interpolant is Hermite on each subinterval (values and exact slopes
-    at both ends), with nodes_per_period >= 32 nodes per oscillation period.
+    at both ends), with _NODES_PER_PERIOD (96) nodes per oscillation period.
     Its variation approaches the exact value 4 m to relative accuracy well
-    under 1e-6 at the default resolution.
+    under 1e-6.
     """
     if m < 1:
         raise MeasureFormatError("oscillation index m must be positive")
-    if nodes_per_period < 32:
-        raise MeasureFormatError("need at least 32 nodes per period")
     freq = 2.0 * math.pi * m * m
     amp = 2.0 * math.pi * m  # density amplitude of the induced function
-    n_cells = m * m * nodes_per_period
+    n_cells = m * m * _NODES_PER_PERIOD
     xs = np.linspace(0.0, 1.0, n_cells + 1)
     rho = amp * np.cos(freq * xs)
     slope = -amp * freq * np.sin(freq * xs)

@@ -83,6 +83,11 @@ def _check_channel(channel):
         raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
 
 
+def _perturbed(p, q, nu, channel, s):
+    """(p, q) with s * nu added to the given channel."""
+    return (p.plus(nu.scaled(s)), q) if channel == "p" else (p, q.plus(nu.scaled(s)))
+
+
 def _require_simple(pair: Eigenpair):
     if pair.g_mult != 1 or pair.E is None:
         raise UnsupportedMultiplicityError(
@@ -188,6 +193,9 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     branches.
     """
     _check_channel(channel)
+    epsilons = [float(eps) for eps in epsilons]
+    if not all(0.0 < eps < np.inf for eps in epsilons):  # refuses NaN too
+        raise BadArgumentError("finite difference steps must be positive and finite")
     cfg = cfg or SpectrumConfig()
     ws = _nu_workspace(p, q, nu, 1.0)
     base = find_eigenvalue(p, q, xi, n, cfg, ws)
@@ -195,16 +203,11 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     formula = gradient(base, nu)
     rows = []
     for eps in epsilons:
-        eps = float(eps)
-        if eps <= 0:
-            raise BadArgumentError("finite difference steps must be positive")
         lams = []
         for side in (eps, -eps):
-            bumped = nu.scaled(side)
-            pp = p.plus(bumped) if channel == "p" else p
-            qq = q.plus(bumped) if channel == "q" else q
+            pp, qq = _perturbed(p, q, nu, channel, side)
             f = _root_fn(pp, qq, xi, cfg, Workspace(pp, qq))
-            lams.append(_track_root(f, base.k, cfg) ** 3)
+            lams.append(_track_root(f, base.k) ** 3)
         fd = (lams[0] - lams[1]) / (2.0 * eps)
         rows.append(FdRow(eps, fd, formula, abs(fd - formula)))
     return rows
@@ -219,16 +222,14 @@ def fundamental_fd_check(p: Measure, q: Measure, lam: complex, nu: Measure,
     Returns (fd_matrix, formula_matrix, max entrywise abs error).
     """
     _check_channel(channel)
-    if epsilon <= 0:
-        raise BadArgumentError("finite difference steps must be positive")
+    if not 0.0 < epsilon < np.inf:  # refuses NaN too
+        raise BadArgumentError("finite difference steps must be positive and finite")
     cfg = cfg or SolverConfig()
     gradient = fundamental_gradient_p if channel == "p" else fundamental_gradient_q
     formula = gradient(p, q, lam, nu, x, cfg)
     sides = []
     for s in (epsilon, -epsilon):
-        bumped = nu.scaled(s)
-        pp = p.plus(bumped) if channel == "p" else p
-        qq = q.plus(bumped) if channel == "q" else q
+        pp, qq = _perturbed(p, q, nu, channel, s)
         ws = _nu_workspace(pp, qq, nu, x)
         sides.append(FundamentalPath(pp, qq, lam, cfg, ws).matrix(x))
     fd = (sides[0] - sides[1]) / (2.0 * epsilon)

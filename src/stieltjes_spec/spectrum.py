@@ -15,8 +15,8 @@ exactly one root.  The constant is diagnostic: runtime verification is always
 done by winding counts, never by trusting the threshold.
 
 Real roots are located on unverified solves: a grid brackets the one sign
-change of a window, Brent bracketing refines it to width bisect_tol, and the
-eigenpair is then packaged from verified solves.  Roots of a perturbed
+change of a window, Brent bracketing refines it to width _BISECT_TOL (1e-12),
+and the eigenpair is then packaged from verified solves.  Roots of a perturbed
 problem are tracked from the base root by secant steps.
 """
 
@@ -42,6 +42,7 @@ from .ivp import (
     SolverConfig,
     Workspace,
     _solve_columns,
+    _workspace_for,
     solve_value,
 )
 from .measure import Measure
@@ -56,25 +57,17 @@ _CLEARANCE = 1e-10
 _SCAN_STEP = math.pi / 8.0
 # evaluations a bracket refinement may spend beyond plain bisection
 _SPARE_STEPS = 4
+_BISECT_TOL = 1e-12  # k-width at which root brackets and tracking stop
+_CONTOUR_POINTS = 64  # on a centered counting contour, before doubling
+_CONTOUR_DOUBLINGS = 3  # per contour radius, before a radius bump
 _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SpectrumConfig:
+    """Solver settings; root width and contour sizes are module constants."""
     solver: SolverConfig = field(default_factory=SolverConfig)
-    c_pi: float = 1e4
-    contour_points: int = 64
-    contour_doublings: int = 3
-    bisect_tol: float = 1e-12
     verify_tail_counts: bool = False
-
-    def __post_init__(self):
-        if self.c_pi <= 0:
-            raise BadArgumentError("c_pi must be positive")
-        if self.contour_points < 8:
-            raise BadArgumentError("contour needs at least 8 points")
-        if self.bisect_tol <= 0:
-            raise BadArgumentError("bisect_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,14 +97,16 @@ class Eigenpair:
         return self.g_mult == 1
 
 
-def counting_threshold(p: Measure, q: Measure, xi, c_pi: float | None = None,
-                       cfg: SpectrumConfig | None = None) -> int:
-    """Smallest tail index N certified by the a-priori growth bound."""
+def _check_c_pi(c_pi) -> float:
+    if not 0.0 < float(c_pi) < math.inf:
+        raise BadArgumentError(f"c_pi must be positive and finite, got {c_pi!r}")
+    return float(c_pi)
+
+
+def counting_threshold(p: Measure, q: Measure, xi, c_pi: float = 1e4) -> int:
+    """Smallest tail index N certified by the growth bound with constant c_pi."""
     xi = _check_xi(xi)
-    cfg = cfg or SpectrumConfig()
-    c = cfg.c_pi if c_pi is None else float(c_pi)
-    if c <= 0:
-        raise BadArgumentError("c_pi must be positive")
+    c = _check_c_pi(c_pi)
     expo = 3.0 * (3.0 * q.total_variation() + p.total_variation())
     if expo > 690.0:
         raise ThresholdRangeError(
@@ -133,10 +128,16 @@ def counting_threshold(p: Measure, q: Measure, xi, c_pi: float | None = None,
     return n
 
 
+def _check_index(n) -> int:
+    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
+        raise BadArgumentError(f"eigenvalue index must be an integer, got {n!r}")
+    return int(n)
+
+
 def localize(xi, n) -> tuple[float, float]:
     """The k-window (center - pi/3, center + pi/3) for the n-th root."""
     xi = _check_xi(xi)
-    center = (2 * int(n) + xi - 1) * math.pi
+    center = (2 * _check_index(n) + xi - 1) * math.pi
     return center - math.pi / 3.0, center + math.pi / 3.0
 
 
@@ -171,22 +172,22 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     xi = _check_xi(xi)
     center = float(center)
     radius = float(radius)
-    if radius <= 0:
-        raise BadArgumentError("disc radius must be positive")
-    ws = workspace if workspace is not None else Workspace(p, q)
+    if not 0.0 < radius < math.inf:
+        raise BadArgumentError("disc radius must be positive and finite")
+    ws = _workspace_for(p, q, workspace)
     central = center == 0.0
     if not central and abs(center) <= radius:
         raise BadArgumentError("offset disc must exclude the origin")
     if central:
-        base_m = max(cfg.contour_points,
+        base_m = max(_CONTOUR_POINTS,
                      8 * (2 * math.ceil(radius / math.pi) + 1))
     else:
-        base_m = min(cfg.contour_points, 32)
+        base_m = 32  # one lattice window
     last = None
     for bump in (1.0, 1.013, 0.987, 1.029):
         r_eff = radius * bump
         m = base_m
-        for _ in range(cfg.contour_doublings + 1):
+        for _ in range(_CONTOUR_DOUBLINGS + 1):
             phis = 2.0 * math.pi * np.arange(m) / m
             if central:
                 lams = (r_eff**3) * np.exp(1j * phis)
@@ -293,12 +294,12 @@ def _refine_bracket(f, lo, hi, f_lo, f_hi, tol):
                           lo=lo, hi=hi, k=b, width=abs(c - b))
 
 
-def _track_root(f, k_start, cfg, max_drift=0.3):
+def _track_root(f, k_start, max_drift=0.3):
     """Secant iteration from a known nearby root; raises on a tracking jump.
 
     The first secant runs through k_start and a point a relative 1e-5 away;
     after that every step costs one evaluation.  It stops once a step is at
-    most bisect_tol, returning that step's point without evaluating it.
+    most _BISECT_TOL, returning that step's point without evaluating it.
     """
     k0, f0 = k_start, f(k_start)
     k1 = k_start + 1e-5 * max(1.0, abs(k_start))
@@ -315,7 +316,7 @@ def _track_root(f, k_start, cfg, max_drift=0.3):
                 "root tracking jumped out of its window",
                 k_start=k_start, k=k_new,
             )
-        if abs(step) <= cfg.bisect_tol:
+        if abs(step) <= _BISECT_TOL:
             return k_new
         k0, f0 = k1, f1
         k1, f1 = k_new, f(k_new)
@@ -380,7 +381,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
     lam = float(lam)
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     geo, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg.solver)
     m = _pairing_matrix(cols, xi)
     sv = np.linalg.svd(m, compute_uv=False)
@@ -388,7 +389,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
     residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg.solver)
-    label = int(n) if n is not None else 0
+    label = _check_index(n) if n is not None else 0
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
     # just its determinant
     if sv[0] < _RANK_TOL * col_scale:
@@ -422,7 +423,7 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
                     workspace: Workspace | None = None) -> Eigenpair:
     """Locate the root in the n-th lattice window and package it."""
     cfg = cfg or SpectrumConfig()
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     lo, hi = localize(xi, n)
     f = _root_fn(p, q, xi, cfg, ws)
     grid = np.linspace(lo, hi, 33)
@@ -440,7 +441,7 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
         )
     i = brackets[0]
     k = _refine_bracket(f, float(grid[i]), float(grid[i + 1]),
-                        vals[i], vals[i + 1], cfg.bisect_tol)
+                        vals[i], vals[i + 1], _BISECT_TOL)
     return eigenfunction(p, q, xi, k**3, n=n, cfg=cfg, workspace=ws)
 
 
@@ -456,7 +457,7 @@ def _central_geometry(xi, n_window):
     return 2 * m * math.pi, 2 * m, m
 
 
-def _double_candidates(f, grid, vals, cfg):
+def _double_candidates(f, grid, vals):
     """Local |f| minima without sign change: candidate double roots."""
     out = []
     absv = np.abs(np.asarray(vals))
@@ -489,10 +490,10 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     """
     cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max = _check_index(n_min), _check_index(n_max)
     if n_min > n_max:
         raise BadArgumentError("n_min must not exceed n_max")
-    ws = workspace if workspace is not None else Workspace(p, q)
+    ws = _workspace_for(p, q, workspace)
     n_window = min(max(2, abs(n_min), abs(n_max)) + 1, 8)
     radius, expected, offset = _central_geometry(xi, n_window)
     counted = count_zeros_disc(p, q, xi, 0.0, radius, cfg, ws)
@@ -514,7 +515,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
         (float(grid[i]), 1, i) for i in brackets
     ]
     if len(brackets) != expected:
-        for k in _double_candidates(f, grid, vals, cfg):
+        for k in _double_candidates(f, grid, vals):
             pair = eigenfunction(p, q, xi, k**3, cfg=cfg, workspace=ws)
             if pair.g_mult == 2:
                 roots.append((k, 2, None))
@@ -535,7 +536,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
             continue
         if bi is not None:
             k = _refine_bracket(f, float(grid[bi]), float(grid[bi + 1]),
-                                vals[bi], vals[bi + 1], cfg.bisect_tol)
+                                vals[bi], vals[bi + 1], _BISECT_TOL)
         else:
             k = k_coarse
         pair = eigenfunction(p, q, xi, k**3, n=wanted[0], cfg=cfg,
@@ -579,5 +580,5 @@ def spectral_shift(p: Measure, q: Measure, xi, n, epsilon: float,
     shifted_p = p.plus(Measure.lebesgue(float(epsilon)))
     ws = Workspace(shifted_p, q)
     f = _root_fn(shifted_p, q, xi, cfg, ws)
-    k = _track_root(f, base.k, cfg)
+    k = _track_root(f, base.k)
     return base.lam, k**3

@@ -124,6 +124,17 @@ def test_numerical_failure_exits_3(capsys):
     assert err["error"] == "NO_CONVERGENCE"
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "1", "--tol", "inf"],
+    ["eig", "--bc", "1", "--n-min", "1", "--n-max", "1", "--c-pi", "nan"],
+    ["eig", "--bc", "1", "--n-min", "1", "--n-max", "1", "--c-pi", "inf"],
+    ["eig", "--bc", "1", "--n-min", "1", "--n-max", "1", "--c-pi", "0"],
+])
+def test_bad_settings_exit_2(capsys, command):
+    assert main(command) == 2
+    assert _stderr_error(capsys)["error"] == "BAD_ARGUMENT"
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["solve", "--lambda", "1", "--bogus"]) == 2
     assert _stderr_error(capsys)["error"] == "BAD_ARGUMENT"
@@ -277,6 +288,35 @@ def test_json_output_is_deterministic(tmp_path):
     assert len(doc["config_sha256"]) == 64
     assert doc["columns"][2] == "lambda"
     assert len(doc["rows"]) == 1
+
+
+# the README's eig, sens and charfn examples with the config-sha256 and
+# tolerances header lines they write: what a run reports as its resolved
+# configuration must not move when a setting changes from field to constant
+README_HEADERS = [
+    (["eig", "--p", "zero", "--q", "zero", "--bc", "1", "--n-min", "-2",
+      "--n-max", "2", "--verify-count"],
+     "d3887613fb8c9a1ef7b60a89e7512cd26004f32e4f1006d7bae420f86f15c1ea",
+     "bisect_tol=1e-12 c_pi=10000.0 solver_tol=1e-09"),
+    (["sens", "--p", "atom:0.4:0.3", "--q", "atom:0.5:0.7", "--bc", "1",
+      "--n-min", "1", "--n-max", "1", "--nu", "lebesgue", "--channel", "p"],
+     "644774a947270d6fa824b185b9281183d3d072494f35c5193d89a1e200f18ff0",
+     "solver_tol=1e-09"),
+    (["charfn", "--p", "zero", "--q", "zero", "--bc", "1", "--lambda=-10:300",
+      "--grid", "200"],
+     "ce7b475b2586372e6e98576c875a29ceefe7a4c775802acaf0f125184ed136fc",
+     "solver_tol=1e-09"),
+]
+
+
+@pytest.mark.parametrize("command,sha,tolerances", README_HEADERS,
+                         ids=[c[0][0] for c in README_HEADERS])
+def test_readme_headers_are_frozen(tmp_path, command, sha, tolerances):
+    out_file = tmp_path / "table.csv"
+    assert main(command + ["--out", str(out_file)]) == 0
+    meta, _, _ = _read_table(out_file)
+    assert meta[2] == f"# config-sha256: {sha}"
+    assert meta[3] == f"# tolerances: {tolerances}"
 
 
 def test_threads_env_validation(monkeypatch, capsys):

@@ -13,9 +13,15 @@ from stieltjes_spec.errors import (
     NumericalError,
     UnsupportedMeasureError,
 )
-from stieltjes_spec.charfn import real_split
+from stieltjes_spec.charfn import boundary_matrix, delta, real_split
 from stieltjes_spec.measure import Measure, ramp_sequence
 from stieltjes_spec import ivp
+from stieltjes_spec.spectrum import (
+    count_zeros_disc,
+    eigenfunction,
+    find_eigenvalue,
+    spectrum_scan,
+)
 from stieltjes_spec.ivp import (
     FundamentalPath,
     InitialTriple,
@@ -438,8 +444,10 @@ def test_validation_rejects_bad_inputs():
         InitialTriple(0, float("inf"), 0)
     with pytest.raises(BadArgumentError):
         SolverConfig(mesh_size=0)
-    with pytest.raises(BadArgumentError):
-        SolverConfig(tol=-1e-9)
+    for tol in (-1e-9, math.inf, math.nan):
+        # an infinite target would pass the doubling check at any gap
+        with pytest.raises(BadArgumentError):
+            SolverConfig(tol=tol)
     with pytest.raises(BadArgumentError):
         solve_picard(Measure.zero(), Measure.zero(), float("nan"),
                      InitialTriple(1, 0, 0))
@@ -738,6 +746,39 @@ def test_zero_measures_solve_value_is_the_closed_form(monkeypatch):
     assert calls
     with pytest.raises(NumericalError):
         solve_value(zero, zero, 1e8, init)
+
+
+def test_workspace_for_another_pair_is_refused():
+    # a workspace answers for the pair it was built for: handed to another
+    # pair it would silently return the wrong pair's values
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    zero = Measure.zero()
+    e1 = InitialTriple(1, 0, 0)
+    calls = [
+        lambda a, b, ws: solve_picard(a, b, 64.0, e1, workspace=ws),
+        lambda a, b, ws: solve_value(a, b, 64.0, e1, workspace=ws),
+        lambda a, b, ws: FundamentalPath(a, b, 64.0, workspace=ws),
+        lambda a, b, ws: real_split(a, b, 64.0, workspace=ws),
+        lambda a, b, ws: boundary_matrix(a, b, 64.0, 1, workspace=ws),
+        lambda a, b, ws: delta(a, b, 64.0, 1, workspace=ws),
+        lambda a, b, ws: count_zeros_disc(a, b, 1, 0.0, math.pi, workspace=ws),
+        lambda a, b, ws: eigenfunction(a, b, 1, 64.0, workspace=ws),
+        lambda a, b, ws: find_eigenvalue(a, b, 1, 2, workspace=ws),
+        lambda a, b, ws: spectrum_scan(a, b, 1, 0, 1, workspace=ws),
+    ]
+    for call in calls:
+        with pytest.raises(BadArgumentError, match="different coefficient pair"):
+            call(p, q, Workspace(zero, zero))
+        with pytest.raises(BadArgumentError, match="different coefficient pair"):
+            call(zero, zero, Workspace(p, q))
+        with pytest.raises(BadArgumentError, match="different coefficient pair"):
+            call(p, q, Workspace(q, p))
+    # equal measures built apart describe the same pair
+    twin = Workspace(Measure.point(0.4, 0.3), q)
+    got = solve_value(p, q, 64.0, e1, workspace=twin)
+    assert twin._cache
+    assert got == solve_value(p, q, 64.0, e1)
 
 
 def test_sub_roundoff_tolerance_is_refused_even_on_exact_agreement():

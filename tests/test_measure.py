@@ -174,8 +174,6 @@ def test_oscillation_variation_and_induced_values():
         xs = np.linspace(0, 1, 200)
         target = np.sin(2 * np.pi * m * m * xs) / m
         assert np.max(np.abs(mu.eval_many(xs) - target)) < 1e-7
-    with pytest.raises(MeasureFormatError):
-        oscillation_sequence(2, nodes_per_period=16)
 
 
 def test_plus_and_scaled_are_pointwise_linear():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stieltjes_spec.errors import BadArgumentError, UnsupportedMultiplicityError
-from stieltjes_spec.ivp import FundamentalPath
+from stieltjes_spec.ivp import FundamentalPath, Workspace
 from stieltjes_spec.measure import Measure, ramp_sequence
 from stieltjes_spec.sens import (
     eigenvalue_gradient_p,
@@ -151,6 +151,24 @@ def test_channel_and_epsilon_validation():
     with pytest.raises(BadArgumentError):
         fundamental_gradient_q(P_ATOM, Q_ATOM, 37.0, Measure.lebesgue(1.0),
                                x=1.5)
+
+
+def test_bad_steps_are_refused_before_any_solve(monkeypatch):
+    calls = []
+    geometry = Workspace.geometry
+
+    def counted(ws, *args):
+        calls.append(args)
+        return geometry(ws, *args)
+
+    monkeypatch.setattr(Workspace, "geometry", counted)
+    leb = Measure.lebesgue(1.0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(BadArgumentError, match="finite difference steps"):
+            fd_check(P_ATOM, Q_ATOM, 1, 1, leb, epsilons=(1e-3, step))
+        with pytest.raises(BadArgumentError, match="finite difference steps"):
+            fundamental_fd_check(P_ATOM, Q_ATOM, 37.0, leb, epsilon=step)
+    assert calls == []
 
 
 def test_double_eigenvalue_is_rejected():

@@ -16,7 +16,6 @@ from stieltjes_spec.errors import (
 )
 from stieltjes_spec.measure import Measure
 from stieltjes_spec.spectrum import (
-    SpectrumConfig,
     _refine_bracket,
     _track_root,
     count_zeros_disc,
@@ -76,8 +75,9 @@ def test_counting_threshold_overflow():
     heavy = Measure.point(0.5, 80.0)
     with pytest.raises(ThresholdRangeError):
         counting_threshold(Z, heavy, 1, c_pi=8)
-    with pytest.raises(BadArgumentError):
-        counting_threshold(Z, Z, 1, c_pi=-1.0)
+    for c_pi in (-1.0, math.inf, math.nan):
+        with pytest.raises(BadArgumentError, match="c_pi"):
+            counting_threshold(Z, Z, 1, c_pi=c_pi)
 
 
 def test_count_zero_potential_central_discs():
@@ -96,8 +96,9 @@ def test_count_tail_windows():
 def test_count_disc_validation():
     with pytest.raises(BadArgumentError):
         count_zeros_disc(Z, Z, 1, math.pi, 2 * math.pi)
-    with pytest.raises(BadArgumentError):
-        count_zeros_disc(Z, Z, 1, 0.0, -1.0)
+    for radius in (-1.0, math.inf, math.nan):
+        with pytest.raises(BadArgumentError, match="radius"):
+            count_zeros_disc(Z, Z, 1, 0.0, radius)
     with pytest.raises(BadArgumentError):
         count_zeros_disc(Z, Z, 5, 0.0, 1.0)
 
@@ -202,23 +203,23 @@ def test_find_eigenvalue_window_eviction():
 
 def test_config_validation():
     with pytest.raises(BadArgumentError):
-        SpectrumConfig(c_pi=0.0)
-    with pytest.raises(BadArgumentError):
-        SpectrumConfig(contour_points=4)
-    with pytest.raises(BadArgumentError):
-        SpectrumConfig(bisect_tol=-1e-9)
-    with pytest.raises(BadArgumentError):
         spectrum_scan(Z, Z, 1, 3, -3)
     with pytest.raises(BadArgumentError):
         spectrum_scan(Z, Z, 9, 0, 1)
     with pytest.raises(BadArgumentError):
         find_eigenvalue(Z, Z, 1.5, 0)
+    # a fractional or non-finite index is refused, not truncated
+    for n in (2.5, math.inf, math.nan):
+        with pytest.raises(BadArgumentError, match="index"):
+            find_eigenvalue(Z, Z, 1, n)
+    with pytest.raises(BadArgumentError, match="index"):
+        spectrum_scan(Z, Z, 1, 0, 2.5)
 
 
 # ---------------------------------------------------------------------------
 # root search: bracket refinement and tracking
 
-TOL = SpectrumConfig().bisect_tol
+TOL = spectrum._BISECT_TOL
 ROADMAP_P = Measure.point(0.4, 0.3)
 ROADMAP_Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
 
@@ -318,19 +319,18 @@ def test_root_search_solve_counts(monkeypatch):
 
 
 def test_track_root_guards():
-    cfg = SpectrumConfig()
     # the first secant step lands on the root at 1, outside max_drift
     with pytest.raises(RootSearchError, match="jumped") as err:
-        _track_root(lambda k: k - 1.0, 0.0, cfg, max_drift=0.3)
+        _track_root(lambda k: k - 1.0, 0.0, max_drift=0.3)
     assert err.value.context["k_start"] == 0.0
     assert err.value.context["k"] == pytest.approx(1.0)
     for value in (2.0, math.nan, math.inf):
         with pytest.raises(RootSearchError, match="flat") as err:
-            _track_root(lambda k: value, 0.5, cfg)
+            _track_root(lambda k: value, 0.5)
         assert err.value.context["k"] == pytest.approx(0.5, abs=1e-4)
     # secant steps converge only linearly to a triple root: 16 steps leave
     # it 1e-3 away, inside the drift window
     with pytest.raises(RootSearchError, match="did not settle") as err:
-        _track_root(lambda k: (k - 0.1) ** 3, 0.0, cfg)
+        _track_root(lambda k: (k - 0.1) ** 3, 0.0)
     assert err.value.context["k_start"] == 0.0
     assert 0.09 < err.value.context["k"] < 0.1
