@@ -11,17 +11,21 @@ the path: the initial triple already encodes the state at 0.
 
 Two independent solvers are provided.  solve_picard iterates the fixed-point
 form built on the zero-potential kernels (exact for the unperturbed problem at
-the same lambda, so the iteration count is controlled by the measure norms
-alone, not by lambda).  solve_transfer propagates constant-coefficient
-segments for purely atomic coefficients and is exact up to roundoff.
+the same lambda).  The series stops once a rigorous bound on its remainder,
+computed from the last measured term and the Volterra estimate of the
+measure norms, falls below the tolerance (see _Engine.iterate).
+solve_transfer propagates constant-coefficient segments for purely atomic
+coefficients and is exact up to roundoff.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +59,10 @@ _K_CEILING = 420.0
 _KH_MAX = 0.12
 _MAX_DOUBLINGS = 4
 _MAX_TERMS = 200  # Picard terms before a solve is refused as not converging
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# stands for log(V / V_lo) where the lower envelope V_lo is 0: finite, so
+# that a zero term there gives -inf, and a nonzero one a bound no stop accepts
+_NO_ENVELOPE = 1e300
 _EPS = float(np.finfo(float).eps)
 # root gap (relative to the root scale) below which the transfer propagator
 # leaves the Lagrange-Sylvester sum, whose error grows like eps / gap**2
@@ -241,8 +249,13 @@ class SolverConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.mesh_size < 1:
+        size = self.mesh_size
+        if (isinstance(size, bool) or not isinstance(size, numbers.Real)
+                or not math.isfinite(size) or size != int(size)):
+            raise BadArgumentError(f"mesh_size must be an integer, got {size!r}")
+        if size < 1:
             raise BadArgumentError("mesh_size must be positive")
+        object.__setattr__(self, "mesh_size", int(size))
         if not 0.0 < self.tol < math.inf:
             raise BadArgumentError("tolerance must be positive and finite")
 
@@ -339,6 +352,37 @@ class _Geometry:
                 raise BadArgumentError(f"atom at {x_a} is not a mesh edge")
             dq, dp = joint[x_a]
             self.atoms.append((idx, x_a, dq + 1j * dp, dq - 1j * dp))
+
+    @cached_property
+    def budget_logs(self) -> np.ndarray:
+        """log(V / V_lo(x)), (7, n): rows 0-5 at the Gauss nodes of each
+        cell, row 6 at its right edge.
+
+        V_lo is a lower envelope of the running budget of _Engine.iterate,
+        V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]), with V(1) =
+        picard_budget.  It replaces each variation by the absolute signed
+        masses of q and of p over whole cells, the partial cell up to a node
+        and the atoms in (0, x]; the 6- and 8-point Gauss rules give these
+        masses exactly for polynomial pieces of degree up to 11.  Where V_lo
+        is 0 the entry is _NO_ENVELOPE.
+        """
+        cell = np.sum(self.gw * self.rho_g, axis=1)
+        part = np.sum(self.w_rho, axis=1)
+        jumps = np.zeros(self.n + 1)
+        q_mass = float(np.sum(np.abs(cell.real)))
+        for idx, _, d_mu, _ in self.atoms:
+            jumps[idx] += abs(d_mu.real) + abs(d_mu.imag)
+            q_mass += abs(d_mu.real)
+        upto = np.cumsum(jumps)
+        upto[1:] += np.cumsum(np.abs(cell.real) + np.abs(cell.imag))
+        lo = np.empty((7, self.n))
+        lo[:6] = 2.0 * q_mass * self.tg.T + upto[:-1] + np.abs(part.real) + np.abs(part.imag)
+        lo[6] = 2.0 * q_mass * self.edges[1:] + upto[1:]
+        lo *= 3.0
+        logs = np.full(lo.shape, _NO_ENVELOPE)
+        pos = lo > 0.0
+        logs[pos] = np.maximum(math.log(self.picard_budget) - np.log(lo[pos]), 0.0)
+        return logs
 
     # lambda-free partial tensors for the moment recovery kernels, (6, 6, n)
     @cached_property
@@ -448,6 +492,39 @@ def _supported_root(lam_eff: complex) -> complex:
     return k
 
 
+@lru_cache(maxsize=1024)
+def _log_tail_sum(m: int, budget: float) -> float:
+    """log S_m(V), where S_m(V) = sum_{j >= 1} V^j m! / (m + j)!.
+
+    The terms are summed in logarithms until they fall below e^-40 of the
+    largest with ratio V / (m + j + 1) under 1/2; the geometric bound on
+    the rest is added, so the value bounds S_m(V) from above.
+    """
+    if budget <= 0.0:
+        return -math.inf
+    log_v = math.log(budget)
+    logs = []
+    log_t, top = 0.0, -math.inf
+    j = 0
+    while True:
+        j += 1
+        log_t += log_v - math.log(m + j)
+        logs.append(log_t)
+        top = max(top, log_t)
+        ratio = budget / (m + j + 1)
+        if ratio < 0.5 and log_t < top - 40.0:
+            break
+    logs.append(log_t + math.log(ratio / (1.0 - ratio)))
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _log(b: float) -> float:
+    """math.log extended to 0 (-inf) and NaN."""
+    if b > 0.0:
+        return math.log(b)
+    return -math.inf if b == 0.0 else math.nan
+
+
 class _Engine:
     """One (geometry, lambda) pairing of the Picard iteration.
 
@@ -519,6 +596,10 @@ class _Engine:
         self.rows_node = rows[:, n_edge:n_edge + n_node]
         if zero:
             return  # iterate returns the closed form without a Picard term
+        # the growth rate r of w(x) = e^(r x), the largest channel exponent;
+        # log(w(1) / w(x)) at the left edge of each cell
+        rate = float(np.max(-(k * _OMEGA_POW).imag))
+        self.log_w_ratio = rate * (1.0 - geo.edges[:-1])
         # cell weights (3, 6, n): channel j, node a, cell
         cell_w = np.take(np.exp(-offset).transpose(1, 0, 2), geo.width_of, axis=-1)
         cell_w *= (1.0 / self.u_edge[:, :-1])[:, None, :]
@@ -581,6 +662,49 @@ class _Engine:
         makes one contraction per cell: the in-cell kernel on f and the
         width phases on the edge channels.  The series starts from the
         engine's own initial rows.  Node values come back cell-major, (n, 6).
+
+        The series stops after the first term m whose remainder bound
+        falls below 0.5 tol scale, with scale = max |y| over the nodes (at
+        least 1).  The bound is the smaller of
+            crude: max_x |c_m(x)| (w(1) / w(x)) (e^V - 1),
+            sharp: max_x |c_m(x)| (w(1) / w(x)) (V / V_lo(x))^m S_m(V),
+        over the nodes and edges, S_m(V) = sum_{j >= 1} V^j m! / (m + j)!,
+        V = picard_budget and V_lo the geometry's lower envelope of the
+        running budget (budget_logs); where V_lo = 0 only the crude bound
+        applies.  Both are computed in logarithms (log_tail_bound), and
+        only once max |c_m| S_m(V), below both since w(1) / w >= 1 and
+        S_m(V) <= e^V - 1, is below the target.  A term whose bound exceeds
+        the float range even at that smallest value, and the _MAX_TERMS-th
+        term, are refused with ConvergenceError carrying V, m and log10 of
+        the bound.
+
+        Derivation.  The term operator is the Volterra operator
+            (T f)(x) = int_(0,x] y3(x - t) f(t) d(q + i p)(t)
+                       - 2 int_0^x y2(x - t) q(t) f(t) dt.
+        Let w(x) = e^(r x) with r = max_j -Im(omega^j k), the largest growth
+        exponent of the channels, so |exp(i omega^j k s)| <= w(s) for each.
+        The exponents sum to 0, so r >= 0, and r is at most the rate
+        sum_j |Im(omega^j k / 2)| of xi_bound; the two differ only when two
+        channels grow (lambda near the negative imaginary axis), where
+        xi_bound's weight grows up to twice as fast as the solutions.  Hence
+        |y1(s)| <= w(s), and since y2' = y1 and y3' = y2 vanish at 0,
+        |y2(s)| <= s w(s) and |y3(s)| <= s^2 w(s) / 2 on [0, 1], for every
+        k, |k| < 1 included (the shifted solves run down to |k| ~ 0.3).  The
+        estimate lab.bound_audit checks, |y_j(x)| <= 3 / |k|^(j-1) w(x)
+        e^(V(x)), counts the three channels without their 1/3: for |k| >= 1
+        it bounds the kernels by 3 w, and that 3 multiplies the variations
+        in its exponent.  With w(x - t) w(t) = w(x) and |q(t)| <= |q|(0,1],
+            |T f(x)| <= w(x) int_(0,x] (|f(t)| / w(t)) dV(t) / 3
+        for V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]), whose V(1) is
+        picard_budget; the kernels need only a third of the constant the
+        budget keeps.  Every term is continuous, so at an atom the integrand
+        takes V's left limit, and induction on j turns |f| <= A w V^m / m!
+        into |T^j f| <= A w V^(m+j) / (m+j)!.  Summed over j >= 1, with
+        A = max |c_m| / w (m = 0 in the induction) this is the crude bound,
+        and with A = max |c_m| m! / (w V_lo^m), valid since V_lo <= V(x),
+        the sharp one.  The maxima run over the measured points, the edge
+        at 0 left out (every term vanishes there), with a point's weight
+        taken at the left edge of its cell, where it is larger.
         """
         geo, cfg = self.geo, self.cfg
         c_node, c_edge = self.initial_rows(init)
@@ -590,25 +714,54 @@ class _Engine:
             return np.ascontiguousarray(y_node.T), y_edge, 0
         scale = max(1.0, float(np.max(np.abs(y_node))))
         budget = geo.picard_budget
-        term = math.inf
-        m = 0
         for m in range(1, _MAX_TERMS + 1):
             c_node, c_edge = self.term(c_node, c_edge)
             y_node += c_node
             y_edge += c_edge
-            term = float(np.max(np.abs(c_node)))
             scale = max(scale, float(np.max(np.abs(y_node))), 1.0)
-            ratio = budget / (m + 1.0)
-            if ratio < 1.0 and term * ratio / (1.0 - ratio) < 0.5 * cfg.tol * scale:
-                break
+            log_target = math.log(0.5 * cfg.tol * scale)
+            # both bounds are at least max |c_m| S_m(V): w(1) / w >= 1,
+            # V / V_lo >= 1 and S_m(V) <= e^V - 1
+            floor = _log(float(np.max(np.abs(c_node)))) + _log_tail_sum(m, budget)
+            if floor < log_target:
+                if self.log_tail_bound(m, c_node, c_edge) < log_target:
+                    break
+            elif not floor <= _LOG_FLOAT_MAX:
+                self._refuse("the Picard tail bound exceeds the float range",
+                             m, c_node, c_edge)
         else:
-            raise ConvergenceError(
-                f"Picard iteration did not converge in {_MAX_TERMS} terms",
-                residual=term / scale,
-            )
+            self._refuse(f"Picard iteration did not converge in {_MAX_TERMS} terms",
+                         _MAX_TERMS, c_node, c_edge)
         if not (np.all(np.isfinite(y_node)) and np.all(np.isfinite(y_edge))):
             raise NumericalError("solution overflowed or produced NaN")
         return np.ascontiguousarray(y_node.T), y_edge, m
+
+    def log_tail_bound(self, m: int, c_node, c_edge) -> float:
+        """log of iterate's bound on the remainder sum_{j > m} c_j.
+
+        c_node (6, n) and c_edge (n+1,) hold the measured term m >= 1.
+        """
+        budget = self.geo.picard_budget
+        if budget == 0.0:
+            return -math.inf  # no mass in (0, 1]: every term vanishes
+        # log(|c_m| w(1) / w), (7, n) as budget_logs, every point weighted
+        # at the left edge of its cell; c_m(0) = 0, an empty integral
+        mag = np.empty((7, self.geo.n))
+        np.abs(c_node, out=mag[:6])
+        np.abs(c_edge[1:], out=mag[6])
+        with np.errstate(divide="ignore"):
+            np.log(mag, out=mag)
+        mag += self.log_w_ratio
+        # log(e^V - 1) as V + log(1 - e^-V), which cannot overflow
+        crude = float(mag.max()) + budget + math.log(-math.expm1(-budget))
+        mag += m * self.geo.budget_logs
+        sharp = float(mag.max()) + _log_tail_sum(m, budget)
+        return sharp if sharp < crude else crude
+
+    def _refuse(self, message: str, m: int, c_node, c_edge):
+        bound = self.log_tail_bound(m, c_node, c_edge)
+        raise ConvergenceError(message, budget=self.geo.picard_budget, terms=m,
+                               log10_bound=bound / math.log(10.0))
 
     def recover(self, init: InitialTriple, y_node, y_edge):
         """Stacked (y, y', w) at every node (3, n, 6) and edge (3, n+1).

@@ -172,6 +172,8 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     xi = _check_xi(xi)
     center = float(center)
     radius = float(radius)
+    if not math.isfinite(center):
+        raise BadArgumentError(f"disc center must be finite, got {center}")
     if not 0.0 < radius < math.inf:
         raise BadArgumentError("disc radius must be positive and finite")
     ws = _workspace_for(p, q, workspace)

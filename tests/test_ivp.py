@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from stieltjes_spec.errors import (
     BadArgumentError,
+    ConvergenceError,
     DegeneracyError,
     MeshRefinementError,
     NumericalError,
     UnsupportedMeasureError,
 )
 from stieltjes_spec.charfn import boundary_matrix, delta, real_split
-from stieltjes_spec.measure import Measure, ramp_sequence
+from stieltjes_spec.measure import Measure, oscillation_sequence, ramp_sequence
 from stieltjes_spec import ivp
 from stieltjes_spec.spectrum import (
     count_zeros_disc,
@@ -444,6 +445,12 @@ def test_validation_rejects_bad_inputs():
         InitialTriple(0, float("inf"), 0)
     with pytest.raises(BadArgumentError):
         SolverConfig(mesh_size=0)
+    # the mesh floor is an integer: a fraction, a bool or a non-finite value
+    # would be doubled and rounded up to a floor nobody asked for
+    for size in (2.5, True, False, math.inf, math.nan):
+        with pytest.raises(BadArgumentError, match="mesh_size"):
+            SolverConfig(mesh_size=size)
+    assert SolverConfig(mesh_size=64).mesh_size == 64
     for tol in (-1e-9, math.inf, math.nan):
         # an infinite target would pass the doubling check at any gap
         with pytest.raises(BadArgumentError):
@@ -513,7 +520,7 @@ def test_origin_point_mass_is_inert():
     plain = solve_picard(p, Measure.lebesgue(0.5), 64.0, init)
     with_atom = solve_picard(
         p, Measure.lebesgue(0.5).plus(Measure.point(0.0, 1.0)), 64.0, init)
-    assert plain.n_terms == with_atom.n_terms == 6
+    assert plain.n_terms == with_atom.n_terms == 5
     assert abs(plain.y_at_one - with_atom.y_at_one) <= 1e-12 * abs(plain.y_at_one)
 
 
@@ -817,3 +824,131 @@ def test_recovery_tensors_are_built_on_first_use():
         assert got.tobytes() == want.tobytes()
     assert path.jumps == fresh.jumps
     assert path.n_terms == fresh.n_terms
+
+
+# ---------------------------------------------------------------------------
+# Picard tail bound
+
+
+@st.composite
+def _small_measure(draw):
+    """Up to two atoms (one may sit at the inert origin) and one constant or
+    linear density piece."""
+    mu = Measure.zero()
+    for x in draw(st.lists(st.integers(0, 99), max_size=2, unique=True)):
+        weight = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        mu = mu.plus(Measure.point(x / 100.0, weight))
+    degree = draw(st.sampled_from((None, 0, 1)))
+    if degree is not None:
+        lo = draw(st.integers(0, 80))
+        hi = draw(st.integers(lo + 5, 100))
+        coeffs = [draw(st.floats(-2.0, 2.0)) for _ in range(degree + 1)]
+        mu = mu.plus(Measure.from_density(lo / 100.0, hi / 100.0, coeffs))
+    return mu
+
+
+@st.composite
+def tail_cases(draw):
+    p, q = draw(_small_measure()), draw(_small_measure())
+    kind = draw(st.sampled_from(("real", "complex", "small")))
+    if kind == "small":  # |lambda| < 0.027: solved at lambda + 1
+        lam = cmath.rect(draw(st.floats(0.0, 0.0269)),
+                         draw(st.floats(-math.pi, math.pi)))
+    else:
+        size = 10.0 ** draw(st.floats(-1.5, 4.3))
+        if kind == "real":
+            lam = complex(size * draw(st.sampled_from((-1.0, 1.0))))
+        else:
+            lam = cmath.rect(size, draw(st.floats(-math.pi, math.pi)))
+    init = InitialTriple(*(complex(draw(st.floats(-2.0, 2.0)),
+                                   draw(st.floats(-2.0, 2.0))) for _ in range(3)))
+    return p, q, lam, init, draw(st.integers(0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tail_cases())
+@example((Measure.point(0.4, 0.3), Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5)),
+          64.0 + 0j, InitialTriple(1, 0, 0), 0))
+@example((Measure.point(0.4, 0.3), Measure.zero(), 0.01 + 0j, InitialTriple(0, 0, 1), 1))
+def test_remainder_lies_inside_the_tail_bound(case):
+    """The discrete remainder after the stop, 40 terms of it, obeys the bound.
+
+    The series is replayed term by term: it reproduces the solve bit for
+    bit, so its m-th term is the one the stop measured.
+    """
+    p, q, lam, init, level = case
+    if (p.is_atomic and all(a.x == 0.0 for a in p.atoms)
+            and q.is_atomic and all(a.x == 0.0 for a in q.atoms)):
+        reject()  # nothing acts on (0, 1]: no Picard term runs
+    cfg = SolverConfig()
+    lam_eff, shift_c = ivp._effective(lam)
+    n_uni = ivp._n_uniform(cfg, cube_root(lam_eff))
+    geo = Workspace(p, q).geometry(shift_c, n_uni, level)
+    eng = ivp._Engine(geo, lam_eff, cfg)
+    y_node, y_edge, m = eng.iterate(init)
+    c_node, c_edge = eng.initial_rows(init)
+    s_node, s_edge = c_node.copy(), c_edge.copy()
+    for _ in range(m):
+        c_node, c_edge = eng.term(c_node, c_edge)
+        s_node += c_node
+        s_edge += c_edge
+    assert np.array_equal(s_node.T, y_node) and np.array_equal(s_edge, y_edge)
+    scale = max(1.0, float(np.max(np.abs(y_node))))
+    bound = math.exp(eng.log_tail_bound(m, c_node, c_edge))
+    assert bound < 0.5 * cfg.tol * scale
+    r_node = np.zeros_like(c_node)
+    r_edge = np.zeros_like(c_edge)
+    for _ in range(40):
+        c_node, c_edge = eng.term(c_node, c_edge)
+        r_node += c_node
+        r_edge += c_edge
+    assert max(np.max(np.abs(r_node)), np.max(np.abs(r_edge))) <= bound
+
+
+def test_log_tail_sum_matches_incomplete_gamma():
+    # S_m(V) = e^V m! V^-m P(m + 1, V), P the regularized lower gamma
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for m, budget in ((1, 0.5), (4, 4.764), (6, 11.7), (30, 288.0),
+                      (199, 288.0), (1, 2160.0), (200, 2160.0)):
+        v = mpmath.mpf(budget)
+        want = float(v + mpmath.loggamma(m + 1) - m * mpmath.log(v)
+                     + mpmath.log(mpmath.gammainc(m + 1, 0, v, regularized=True)))
+        got = ivp._log_tail_sum(m, budget)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert ivp._log_tail_sum(3, 0.0) == -math.inf
+
+
+def test_roadmap_pair_stops_within_seven_terms():
+    # V = 11.7: a stop that waits for V / (m + 1) < 1 runs 11 terms
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    e1 = InitialTriple(1, 0, 0)
+    ws = Workspace(p, q)
+    lam4 = find_eigenvalue(p, q, 1, 4, workspace=ws).lam
+    for lam in (64.0, lam4):
+        path = solve_picard(p, q, lam, e1, workspace=ws)
+        assert path.n_terms <= 7
+
+
+def test_oscillating_q_certifies_far_below_its_budget():
+    # V = 3 * 3 * 12 = 108 counts the variation, which the oscillation
+    # cancels; a stop that waits for V / (m + 1) < 1 runs 107 terms
+    zero = Measure.zero()
+    q = oscillation_sequence(3)
+    ws = Workspace(zero, q)
+    path = solve_picard(zero, q, 8.0, InitialTriple(1, 0, 0), workspace=ws)
+    assert min(g.picard_budget for g in ws._cache.values()) > 107.0
+    assert path.n_terms < 107
+
+
+def test_unrepresentable_tail_bound_is_refused_at_once():
+    # V = 3 (2 * 240 + 240) = 2160: e^V is far beyond the float range
+    zero = Measure.zero()
+    q = Measure.from_density(0.0, 1.0, (240.0,))
+    with pytest.raises(ConvergenceError) as err:
+        solve_value(zero, q, 1.0, InitialTriple(1, 0, 0))
+    ctx = err.value.context
+    assert ctx["budget"] == pytest.approx(2160.0)
+    assert ctx["terms"] == 1
+    assert ctx["log10_bound"] > 308.0

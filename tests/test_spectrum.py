@@ -103,6 +103,14 @@ def test_count_disc_validation():
         count_zeros_disc(Z, Z, 5, 0.0, 1.0)
 
 
+def test_count_disc_refuses_non_finite_center_before_the_contour():
+    # the center is checked before the contour lambdas are formed, so no
+    # RuntimeWarning escapes and the message names the center, not lambda
+    for center in (math.inf, -math.inf, math.nan):
+        with pytest.raises(BadArgumentError, match="center"):
+            count_zeros_disc(Z, Z, 1, center, 1.0)
+
+
 def test_first_pairing_lattice_roots():
     for n in (1, -2):
         pair = find_eigenvalue(Z, Z, 1, n)
