@@ -281,8 +281,7 @@ def cmd_eig(args) -> int:
     if args.n_min > args.n_max:
         raise BadArgumentError("need --n-min <= --n-max")
     _check_c_pi(args.c_pi)
-    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol),
-                         verify_tail_counts=args.verify_count)
+    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol))
     sha = _config_sha({
         "command": "eig", "p": p.to_json(), "q": q.to_json(), "bc": args.bc,
         "n_min": args.n_min, "n_max": args.n_max, "tol": args.tol,
@@ -517,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c-pi", type=float, default=1e4,
                    help="lattice constant for the counting threshold")
     s.add_argument("--verify-count", action="store_true",
-                   help="cross-check counts on zero-counting contours")
+                   help="index through one central winding count (each "
+                        "window is counted either way)")
     s.set_defaults(func=cmd_eig)
 
     s = subs.add_parser("sens", help="finite-difference table for eigenvalue derivatives")

@@ -31,7 +31,7 @@ from .ivp import (
 )
 from .measure import Measure, lebesgue_integral_of_induced
 from .sens import _check_channel
-from .spectrum import SpectrumConfig, find_eigenvalue
+from .spectrum import SpectrumConfig, _check_index, find_eigenvalue
 
 # continuity sups are taken over this many uniform points plus every
 # measure breakpoint
@@ -302,7 +302,7 @@ def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
     function of q; the lattice base point is (2n + xi - 1) pi.
     """
     xi = _check_xi(xi)
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max = _check_index(n_min), _check_index(n_max)
     if n_min > n_max:
         raise BadArgumentError("need n_min <= n_max")
     cfg = cfg or SpectrumConfig()

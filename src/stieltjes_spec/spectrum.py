@@ -14,10 +14,11 @@ the tail index N from which every lattice window (center +- pi/3) holds
 exactly one root.  The constant is diagnostic: runtime verification is always
 done by winding counts, never by trusting the threshold.
 
-Real roots are located on unverified solves: a grid brackets the one sign
-change of a window, Brent bracketing refines it to width _BISECT_TOL (1e-12),
-and the eigenpair is then packaged from verified solves.  Roots of a perturbed
-problem are tracked from the base root by secant steps.
+A lattice window is certified by its winding count alone, and the Taylor
+root of the same contour values predicts its root: two unverified solves
+confirm a sign change, Brent bracketing refines any wider bracket to width
+_BISECT_TOL (1e-12), and the eigenpair is packaged from verified solves.
+Roots of a perturbed problem are tracked from the base root by secant steps.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    """Solver settings; root width and contour sizes are module constants."""
+    """Solver settings; root width, contours and window counts are fixed."""
     solver: SolverConfig = field(default_factory=SolverConfig)
-    verify_tail_counts: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,28 +159,15 @@ def _delta_values(p, q, xi, lams, cfg, ws):
     return out
 
 
-def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
-                     cfg: SpectrumConfig | None = None,
-                     workspace: Workspace | None = None) -> int:
-    """Zeros of Delta_xi enclosed by a k-plane disc, by winding count.
+def _winding(p, q, xi, center, radius, cfg, ws):
+    """(count, radius used, values) of Delta_xi's winding on a k-disc.
 
-    center must be real.  A centered disc is counted on the lambda-circle of
-    radius radius**3 (the cube of the k-sector); an offset disc is counted on
-    its own k-circle, which the cube maps injectively away from 0.
+    A centered disc is counted on the lambda-circle of radius radius**3, an
+    offset one on its own k-circle.  vals[0] and vals[m // 2] sit on the real
+    axis at k = center + radius and center - radius.
     """
-    cfg = cfg or SpectrumConfig()
-    xi = _check_xi(xi)
-    center = float(center)
-    radius = float(radius)
-    if not math.isfinite(center):
-        raise BadArgumentError(f"disc center must be finite, got {center}")
-    if not 0.0 < radius < math.inf:
-        raise BadArgumentError("disc radius must be positive and finite")
-    ws = _workspace_for(p, q, workspace)
     central = center == 0.0
-    if not central and abs(center) <= radius:
-        raise BadArgumentError("offset disc must exclude the origin")
-    if central:
+    if central and radius > math.pi / 3.0:
         base_m = max(_CONTOUR_POINTS,
                      8 * (2 * math.ceil(radius / math.pi) + 1))
     else:
@@ -209,11 +196,44 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
             if abs(winding - round(winding)) > 0.2:
                 m *= 2
                 continue
-            return int(round(winding))
+            return int(round(winding)), r_eff, vals
     raise ContourResolutionError(
         "winding count failed to stabilize",
         xi=xi, center=center, radius=radius, winding=last,
     )
+
+
+def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
+                     cfg: SpectrumConfig | None = None,
+                     workspace: Workspace | None = None) -> int:
+    """Zeros of Delta_xi enclosed by a k-plane disc, by winding count.
+
+    center must be real.  The cube maps an offset disc injectively, so it
+    must exclude the origin.
+    """
+    cfg = cfg or SpectrumConfig()
+    xi = _check_xi(xi)
+    center = float(center)
+    radius = float(radius)
+    if not math.isfinite(center):
+        raise BadArgumentError(f"disc center must be finite, got {center}")
+    if not 0.0 < radius < math.inf:
+        raise BadArgumentError("disc radius must be positive and finite")
+    ws = _workspace_for(p, q, workspace)
+    if center != 0.0 and abs(center) <= radius:
+        raise BadArgumentError("offset disc must exclude the origin")
+    return _winding(p, q, xi, center, radius, cfg, ws)[0]
+
+
+def _taylor_root(vals) -> complex:
+    """Root nearest 0 of the Taylor polynomial of g from g(e^{2 pi i j / m}).
+
+    The DFT over m gives the Taylor coefficients; the upper half holds the
+    aliasing (Delves and Lyness, Math. Comp. 21, 1967).
+    """
+    m = len(vals)
+    roots = np.roots((np.fft.fft(vals)[: m // 2] / m)[::-1])
+    return complex(roots[np.argmin(np.abs(roots))])
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +440,57 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                      realness_residue=residue)
 
 
+def _predicted_bracket(f, k_hat, lo, hi, f_lo, f_hi):
+    """Narrow the sign-change bracket [lo, hi] by probes at k_hat +- w.
+
+    w starts at _BISECT_TOL / 2 and grows 16-fold until the probes enclose
+    the bracket, which a confirmed prediction does at once.
+    """
+    w = 0.5 * _BISECT_TOL
+    while True:
+        for x in (k_hat - w, k_hat + w):
+            if lo < x < hi:
+                fx = f(x)
+                if (fx < 0) == (f_lo < 0):
+                    lo, f_lo = x, fx
+                else:
+                    hi, f_hi = x, fx
+        if k_hat - w <= lo and hi <= k_hat + w:
+            return lo, hi, f_lo, f_hi
+        w *= 16.0
+
+
 def find_eigenvalue(p: Measure, q: Measure, xi, n,
                     cfg: SpectrumConfig | None = None,
                     workspace: Workspace | None = None) -> Eigenpair:
-    """Locate the root in the n-th lattice window and package it."""
+    """Locate the root in the n-th lattice window and package it.
+
+    The window's winding count is the certificate: any count but one raises.
+    Non-real roots come in conjugate pairs, so one root in a disc centred on
+    the real axis is real.  At the window ends the contour values are -2i f
+    (xi = 1) or 2 f (xi = 2), f the real characteristic, so the end signs
+    cost no solve.  The central disc predicts lambda, the others k.
+    """
     cfg = cfg or SpectrumConfig()
+    xi = _check_xi(xi)
     ws = _workspace_for(p, q, workspace)
-    lo, hi = localize(xi, n)
+    window = localize(xi, n)
+    center = 0.5 * (window[0] + window[1])
+    count, r, vals = _winding(p, q, xi, center, math.pi / 3.0, cfg, ws)
+    if count != 1:
+        raise RootSearchError("lattice window does not hold exactly one root",
+                              xi=xi, n=n, window=window, count=count)
+    ends = vals[[len(vals) // 2, 0]]
+    f_lo, f_hi = (0.5 * (-ends.imag if xi == 1 else ends.real)).tolist()
+    if (f_lo < 0) == (f_hi < 0):
+        raise RootSearchError("window ends do not bracket the counted root",
+                              xi=xi, n=n, window=window)
+    t = _taylor_root(vals).real
+    k_hat = center + r * t if center else r * math.copysign(abs(t) ** (1 / 3), t)
     f = _root_fn(p, q, xi, cfg, ws)
-    grid = np.linspace(lo, hi, 33)
-    vals = [f(float(k)) for k in grid]
-    brackets = _sign_changes(vals)
-    if not brackets:
-        raise RootSearchError(
-            "no sign change inside the lattice window",
-            xi=xi, n=n, window=(lo, hi),
-        )
-    if len(brackets) > 1:
-        raise RootSearchError(
-            "several sign changes inside one lattice window",
-            xi=xi, n=n, window=(lo, hi), count=len(brackets),
-        )
-    i = brackets[0]
-    k = _refine_bracket(f, float(grid[i]), float(grid[i + 1]),
-                        vals[i], vals[i + 1], _BISECT_TOL)
+    lo, hi, f_lo, f_hi = _predicted_bracket(f, k_hat, center - r, center + r,
+                                            f_lo, f_hi)
+    k = _refine_bracket(f, lo, hi, f_lo, f_hi, _BISECT_TOL)
     return eigenfunction(p, q, xi, k**3, n=n, cfg=cfg, workspace=ws)
 
 
@@ -488,7 +535,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     between the count and the real-axis bracket scan fixes the sorted-order
     to index mapping.  A double root occupies two consecutive indices and
     yields two records with the same location.  Indices beyond the central
-    window fall back to per-window root search.
+    window get their own certified window search.
     """
     cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
@@ -556,17 +603,7 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     for n in range(n_min, n_max + 1):
         if covered_lo <= n <= covered_hi:
             continue
-        pair = find_eigenvalue(p, q, xi, n, cfg, ws)
-        if cfg.verify_tail_counts:
-            center = (2 * n + xi - 1) * math.pi
-            got = count_zeros_disc(p, q, xi, center, math.pi / 3.0, cfg, ws)
-            if got != pair.g_mult:
-                raise SpectrumConsistencyError(
-                    "tail window count does not match the located root",
-                    xi=xi, disc=(center, math.pi / 3.0), counted=got,
-                    expected=pair.g_mult,
-                )
-        out.append(pair)
+        out.append(find_eigenvalue(p, q, xi, n, cfg, ws))
     return sorted(out, key=lambda e: e.n)
 
 

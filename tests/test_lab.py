@@ -193,3 +193,11 @@ def test_asymptotics_validation():
         asymptotic_residuals(Measure.zero(), Measure.zero(), 3, 1, 2)
     with pytest.raises(BadArgumentError):
         asymptotic_residuals(Measure.zero(), Measure.zero(), 1, 4, 2)
+
+
+def test_asymptotics_refuse_a_fractional_index():
+    # a fractional index is refused, not cut down to the integers below it
+    for n_min, n_max in ((1.5, 2.9), (1, 2.9), (1.5, 3), (1, math.inf)):
+        with pytest.raises(BadArgumentError, match="index"):
+            asymptotic_residuals(Measure.zero(), Measure.zero(), 1, n_min,
+                                 n_max)

@@ -14,9 +14,17 @@ from stieltjes_spec.errors import (
     RootSearchError,
     ThresholdRangeError,
 )
+from stieltjes_spec.ivp import (
+    InitialTriple,
+    Workspace,
+    cube_root,
+    solve_transfer,
+)
 from stieltjes_spec.measure import Measure
 from stieltjes_spec.spectrum import (
+    SpectrumConfig,
     _refine_bracket,
+    _taylor_root,
     _track_root,
     count_zeros_disc,
     counting_threshold,
@@ -342,3 +350,132 @@ def test_track_root_guards():
         _track_root(lambda k: (k - 0.1) ** 3, 0.0)
     assert err.value.context["k_start"] == 0.0
     assert 0.09 < err.value.context["k"] < 0.1
+
+
+# ---------------------------------------------------------------------------
+# window certificate: the winding count is the only proof of one root
+
+THIRD = math.pi / 3
+
+
+def _stub_characteristic(monkeypatch, roots):
+    """y1(1, lambda) = h(k) for the real polynomial h with these k-roots.
+
+    h has real coefficients, so Delta_2 = 2 h along the whole contour.
+    """
+    def stub(p, q, lam, *args, **kwargs):
+        k = cube_root(lam)
+        return complex(np.prod([k - r for r in roots]))
+
+    monkeypatch.setattr(spectrum, "solve_value", stub)
+
+
+@pytest.mark.parametrize("offsets", [
+    (2.0,),                 # the only root lies outside the window
+    (0.01, 0.02),           # a close pair: no sign change at all
+    (0.01, 0.02, 0.03),     # three roots in one pi/48 cell: one sign change
+])
+def test_window_certificate_refuses_any_count_but_one(monkeypatch, offsets):
+    center = 3 * math.pi  # xi = 2, n = 1
+    roots = [center + d for d in offsets]
+    expect = sum(abs(d) < THIRD for d in offsets)
+    _stub_characteristic(monkeypatch, roots)
+    with pytest.raises(RootSearchError, match="exactly one root") as err:
+        find_eigenvalue(Z, Z, 2, 1)
+    ctx = err.value.context
+    assert ctx["count"] == expect
+    assert (ctx["xi"], ctx["n"]) == (2, 1)
+    assert ctx["window"] == localize(2, 1)
+
+
+def test_taylor_root_predicts_a_lone_window_root(monkeypatch):
+    center = 3 * math.pi
+    root = center - 0.4
+    # the second factor vanishes at k = -20, far outside the disc
+    _stub_characteristic(monkeypatch, [root, -20.0])
+    count, radius, vals = spectrum._winding(Z, Z, 2, center, THIRD,
+                                            SpectrumConfig(), Workspace(Z, Z))
+    assert (count, radius, len(vals)) == (1, THIRD, 32)
+    t = _taylor_root(vals)
+    assert abs(t.imag) <= 1e-13
+    assert center + radius * t.real == pytest.approx(root, abs=1e-12)
+
+
+def _count_engine_runs(monkeypatch):
+    """Record every outer Workspace.geometry call: one per Picard engine run."""
+    runs, depth = [], [0]
+    real = Workspace.geometry
+
+    def counted(self, *args):
+        if depth[0] == 0:
+            runs.append(args)
+        depth[0] += 1
+        try:
+            return real(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Workspace, "geometry", counted)
+    return runs
+
+
+def test_roadmap_eigenpair_costs_38_engine_runs(monkeypatch):
+    # 32 contour points, 2 solves confirming the Taylor prediction, and 4
+    # for the verified packaging and its mirror solve
+    runs = _count_engine_runs(monkeypatch)
+    find_eigenvalue(ROADMAP_P, ROADMAP_Q, 1, 4)
+    assert len(runs) == 38
+
+
+def test_scan_tail_windows_pay_one_count_each(monkeypatch):
+    windings, tail = [], []
+    real_winding, real_find = spectrum._winding, spectrum.find_eigenvalue
+
+    def winding(p, q, xi, center, radius, *args):
+        windings.append((center, radius))
+        return real_winding(p, q, xi, center, radius, *args)
+
+    seen = _count_root_solves(monkeypatch)
+
+    def find(*args):
+        start = len(seen)
+        pair = real_find(*args)
+        tail.append(len(seen) - start)
+        return pair
+
+    monkeypatch.setattr(spectrum, "_winding", winding)
+    monkeypatch.setattr(spectrum, "find_eigenvalue", find)
+    scan = spectrum_scan(Z, Z, 1, 9, 10)
+    assert [e.n for e in scan] == [9, 10]
+    # the central count, then one window count per tail index and no grid
+    assert windings == [(0.0, 17 * math.pi), (18 * math.pi, THIRD),
+                        (20 * math.pi, THIRD)]
+    assert tail == [34, 34]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(budget=st.floats(0.2, 1.0), u=st.floats(0.3, 0.7),
+       x_p=st.floats(0.1, 0.9), x_q=st.floats(0.1, 0.9),
+       s_p=st.sampled_from((1.0, -1.0)), s_q=st.sampled_from((1.0, -1.0)),
+       xi=st.sampled_from((1, 2)), extra=st.integers(0, 2),
+       mirror=st.booleans())
+def test_certified_window_holds_the_transfer_root(budget, u, x_p, x_q, s_p,
+                                                  s_q, xi, extra, mirror):
+    # small atomic pairs as in criterion 06, whose bound exponent
+    # p_V + 3 q_V is the drawn budget; beyond the counting threshold the
+    # lemma promises one root per window
+    p = Measure.point(x_p, s_p * u * budget)
+    q = Measure.point(x_q, s_q * (1.0 - u) * budget / 3.0)
+    n = counting_threshold(p, q, xi, c_pi=1.05) + extra
+    if mirror:
+        n = -n - (xi - 1)
+    pair = find_eigenvalue(p, q, xi, n)
+    lo, hi = localize(xi, n)
+    assert lo < pair.k < hi
+
+    def char(k):
+        y = solve_transfer(p, q, k**3, InitialTriple(1, 0, 0)).eval_y(1.0)
+        return y.imag if xi == 1 else y.real
+
+    d = 1e-9 * max(1.0, abs(pair.k))
+    assert (char(pair.k - d) < 0) != (char(pair.k + d) < 0)
