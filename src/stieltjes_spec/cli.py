@@ -36,8 +36,7 @@ from .lab import (
 )
 from .measure import Measure, oscillation_sequence, ramp_sequence
 from .sens import fd_check
-from .spectrum import (_BISECT_TOL, SpectrumConfig, _check_c_pi, find_eigenvalue,
-                       spectrum_scan)
+from .spectrum import _BISECT_TOL, _check_c_pi, find_eigenvalue, spectrum_scan
 
 _TOOL = "stieltjes-spec"
 
@@ -246,6 +245,8 @@ def cmd_charfn(args) -> int:
     p = parse_measure(args.p)
     q = parse_measure(args.q)
     cfg = SolverConfig(mesh_size=args.grid_mesh, tol=args.tol)
+    if args.grid < 1:
+        raise BadArgumentError("--grid needs at least one scan point")
     if ":" in args.lam:
         lo, hi = (_parse_float(s) for s in args.lam.split(":", 1))
         if not lo < hi:
@@ -281,7 +282,7 @@ def cmd_eig(args) -> int:
     if args.n_min > args.n_max:
         raise BadArgumentError("need --n-min <= --n-max")
     _check_c_pi(args.c_pi)
-    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol))
+    cfg = SolverConfig(tol=args.tol)
     sha = _config_sha({
         "command": "eig", "p": p.to_json(), "q": q.to_json(), "bc": args.bc,
         "n_min": args.n_min, "n_max": args.n_max, "tol": args.tol,
@@ -317,7 +318,7 @@ def cmd_sens(args) -> int:
     if args.n_min > args.n_max:
         raise BadArgumentError("need --n-min <= --n-max")
     epsilons = _parse_float_list(args.epsilons)
-    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol))
+    cfg = SolverConfig(tol=args.tol)
     sha = _config_sha({
         "command": "sens", "p": p.to_json(), "q": q.to_json(),
         "nu": nu.to_json(), "bc": args.bc, "n_min": args.n_min,
@@ -383,7 +384,7 @@ def _lab_solcont(args, cfg, sha_base) -> int:
                for m in _parse_int_list(args.m)]
     perturbations = [(d, None) if args.channel == "p" else (None, d)
                      for d in seq]
-    rep = solution_continuity(p, q, perturbations, lams, cfg=cfg.solver)
+    rep = solution_continuity(p, q, perturbations, lams, cfg=cfg)
     sha = _config_sha(dict(sha_base, p=p.to_json(), q=q.to_json(),
                            family=args.family, channel=args.channel,
                            lams=[_cell(l) for l in lams]))
@@ -399,6 +400,8 @@ def _lab_solcont(args, cfg, sha_base) -> int:
 def _lab_bounds(args, cfg, sha_base) -> int:
     lams = _parse_lambda_list(args.lam)
     if args.seed is not None:
+        if args.samples < 1:
+            raise BadArgumentError("--samples needs at least one case")
         rng = np.random.default_rng(args.seed)
         cases = []
         for _ in range(args.samples):
@@ -419,7 +422,7 @@ def _lab_bounds(args, cfg, sha_base) -> int:
     ok = True
     points = 0
     for idx, (pc, qc) in enumerate(cases):
-        rep = bound_audit(pc, qc, lams, cfg.solver)
+        rep = bound_audit(pc, qc, lams, cfg)
         ok = ok and rep.ok
         points += rep.points
         for lam, km, sr, cr in zip(rep.lams, rep.k_mags, rep.solution_ratios,
@@ -449,7 +452,7 @@ def _lab_asym(args, cfg, sha_base) -> int:
 
 
 def cmd_lab(args) -> int:
-    cfg = SpectrumConfig(solver=SolverConfig(tol=args.tol))
+    cfg = SolverConfig(tol=args.tol)
     sha_base = {"command": f"lab-{args.experiment}", "tol": args.tol,
                 "format": args.format}
     driver = {

@@ -568,12 +568,11 @@ class _Engine:
         self.a2 = a2 = _OMEGA_NEG / (3j * k)
         self.a3 = a3 = -_OMEGA_POW / (3.0 * k * k)
         self.u_edge = np.exp(np.multiply.outer(iok, geo.edges))  # (3, n+1)
-        zero = geo.p.is_zero and geo.q.is_zero
         # kernel[b, :, i] maps the 6 values of f in cell i and the 3 edge
         # channels at its left edge to the term at node b: columns 0-5 hold
         # the in-cell integral, the last 3 the phases exp(i omega^j k (x_b - x_i))
-        self.kernel = np.empty((6, 3 if zero else 9, geo.n), dtype=complex)
-        self.phase = self.kernel[:, -3:]
+        self.kernel = np.empty((6, 9, geo.n), dtype=complex)
+        self.phase = self.kernel[:, 6:]
         # node offsets from the left edge, per distinct width: (6, 3, widths);
         # np.take keeps the gathered arrays C-ordered, cells last (fancy
         # indexing would not), and mode="clip" lets it write into the kernel
@@ -581,21 +580,17 @@ class _Engine:
         offset = np.multiply.outer(np.multiply.outer(_PARTIAL_SPAN, iok), geo.widths)
         np.take(np.exp(offset), geo.width_of, axis=-1, out=self.phase, mode="clip")
         # one zero_potential_rows call: the edges and nodes where the
-        # exponential sums cancel, then, unless both measures are zero, the
-        # in-cell offsets of every width (|k| h <= _KH_MAX keeps these on the
-        # series branch too)
+        # exponential sums cancel, then the in-cell offsets of every width
+        # (|k| h <= _KH_MAX keeps these on the series branch too)
         reach = _SERIES_SWITCH / abs(k)
         self.near_edge = geo.edges < reach
         self.near_node = geo.tg.T < reach
-        pts = [geo.edges[self.near_edge], geo.tg.T[self.near_node]]
-        if not zero:
-            pts.append(np.multiply.outer(_SUB_OFFSET, geo.widths).ravel())
+        pts = [geo.edges[self.near_edge], geo.tg.T[self.near_node],
+               np.multiply.outer(_SUB_OFFSET, geo.widths).ravel()]
         rows = np.array(zero_potential_rows(lam_eff, np.concatenate(pts)))
         n_edge, n_node = len(pts[0]), len(pts[1])
         self.rows_edge = rows[:, :n_edge]
         self.rows_node = rows[:, n_edge:n_edge + n_node]
-        if zero:
-            return  # iterate returns the closed form without a Picard term
         # the growth rate r of w(x) = e^(r x), the largest channel exponent;
         # log(w(1) / w(x)) at the left edge of each cell
         rate = float(np.max(-(k * _OMEGA_POW).imag))
@@ -676,7 +671,8 @@ class _Engine:
         S_m(V) <= e^V - 1, is below the target.  A term whose bound exceeds
         the float range even at that smallest value, and the _MAX_TERMS-th
         term, are refused with ConvergenceError carrying V, m and log10 of
-        the bound.
+        the bound.  With no mass in (0, 1], p = q = 0 included, V = 0: the
+        first term is exactly 0, its bound -inf, and the series stops there.
 
         Derivation.  The term operator is the Volterra operator
             (T f)(x) = int_(0,x] y3(x - t) f(t) d(q + i p)(t)
@@ -710,8 +706,6 @@ class _Engine:
         c_node, c_edge = self.initial_rows(init)
         y_node = c_node.copy()
         y_edge = c_edge.copy()
-        if geo.p.is_zero and geo.q.is_zero:
-            return np.ascontiguousarray(y_node.T), y_edge, 0
         scale = max(1.0, float(np.max(np.abs(y_node))))
         budget = geo.picard_budget
         for m in range(1, _MAX_TERMS + 1):

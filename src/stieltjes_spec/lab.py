@@ -31,7 +31,7 @@ from .ivp import (
 )
 from .measure import Measure, lebesgue_integral_of_induced
 from .sens import _check_channel
-from .spectrum import SpectrumConfig, _check_index, find_eigenvalue
+from .spectrum import _check_index, find_eigenvalue
 
 # continuity sups are taken over this many uniform points plus every
 # measure breakpoint
@@ -119,7 +119,7 @@ class BoundAuditReport:
 
 
 def weakstar_eig(builder, m_values, limit: Measure, fixed: Measure,
-                 xi: int, n: int, cfg: SpectrumConfig | None = None,
+                 xi: int, n: int, cfg: SolverConfig | None = None,
                  channel: str = "p") -> ConvergenceReport:
     """Eigenvalue along builder(m) against the limiting measure.
 
@@ -131,7 +131,6 @@ def weakstar_eig(builder, m_values, limit: Measure, fixed: Measure,
     m_values = tuple(m_values)
     if not m_values:
         raise BadArgumentError("need at least one sequence index")
-    cfg = cfg or SpectrumConfig()
 
     def eig(moving):
         pair = (moving, fixed) if channel == "p" else (fixed, moving)
@@ -227,10 +226,6 @@ def solution_continuity(p0: Measure, q0: Measure, perturbations, lams,
 # a priori bound audit
 
 
-def _variation_curve(mu: Measure, xs) -> np.ndarray:
-    return np.array([mu.tv_function(float(x)) for x in xs])
-
-
 def bound_audit(p: Measure, q: Measure, lams, cfg: SolverConfig | None = None
                 ) -> BoundAuditReport:
     """Check the three base solutions against their growth envelopes.
@@ -258,7 +253,7 @@ def bound_audit(p: Measure, q: Measure, lams, cfg: SolverConfig | None = None
         rate = math.log(xi_bound(1.0, lam))
         envelope = np.exp(rate * xs) * np.exp(
             3.0 * (2.0 * q.total_variation()
-                   + _variation_curve(p, xs) + _variation_curve(q, xs)))
+                   + p.tv_function(xs) + q.tv_function(xs)))
         rows0 = zero_potential_rows(lam, xs)
         worst_sol = 0.0
         worst_cmp = 0.0
@@ -294,7 +289,7 @@ def bound_audit(p: Measure, q: Measure, lams, cfg: SolverConfig | None = None
 
 
 def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
-                         n_max: int, cfg: SpectrumConfig | None = None
+                         n_max: int, cfg: SolverConfig | None = None
                          ) -> ResidualReport:
     """Residual of each eigenvalue against its cubic-plus-linear term.
 
@@ -305,7 +300,6 @@ def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
     n_min, n_max = _check_index(n_min), _check_index(n_max)
     if n_min > n_max:
         raise BadArgumentError("need n_min <= n_max")
-    cfg = cfg or SpectrumConfig()
     iq = lebesgue_integral_of_induced(q)
     ns = tuple(range(n_min, n_max + 1))
     lams, leading, residuals = [], [], []

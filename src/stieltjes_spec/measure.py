@@ -108,20 +108,20 @@ class PolynomialPiece:
         u = np.clip(np.asarray(x, dtype=float) - self.lo, 0.0, self.length)
         return _poly_val(_poly_antideriv(self.coeffs), u)
 
-    def abs_mass_between(self, a: float, b: float) -> float:
-        """Exact integral of |density| over [a, b] within the piece."""
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0
+    def abs_mass_to(self, x):
+        """Exact integral of |density| over [lo, min(x, hi)], vectorized.
+
+        Sums |F(clip(u, c_k, c_k+1)) - F(c_k)| in cut order over the cuts
+        0 < sign changes < length, F the antiderivative and u = x - lo
+        clipped to the piece; a cut beyond u adds exactly 0.
+        """
+        u = np.clip(np.asarray(x, dtype=float) - self.lo, 0.0, self.length)
         anti = _poly_antideriv(self.coeffs)
-        cuts = [a - self.lo]
-        cuts += [r for r in _real_roots_in(self.coeffs, self.length) if a - self.lo < r < b - self.lo]
-        cuts.append(b - self.lo)
-        total = 0.0
-        vals = _poly_val(anti, np.array(cuts))
-        for left, right in zip(vals[:-1], vals[1:]):
-            total += abs(float(right) - float(left))
+        cuts = [0.0, *_real_roots_in(self.coeffs, self.length), self.length]
+        at_cut = _poly_val(anti, np.array(cuts))
+        total = np.zeros_like(u)
+        for lo, hi, f_lo in zip(cuts[:-1], cuts[1:], at_cut):
+            total = total + np.abs(_poly_val(anti, np.clip(u, lo, hi)) - f_lo)
         return total
 
 
@@ -236,17 +236,25 @@ class Measure:
 
     def total_variation(self) -> float:
         """Exact variation over the closed interval, atom at 0 included."""
-        tv = sum(p.abs_mass_between(p.lo, p.hi) for p in self.pieces)
+        tv = sum(float(p.abs_mass_to(p.hi)) for p in self.pieces)
         tv += sum(abs(a.w) for a in self.atoms)
         return float(tv)
 
-    def tv_function(self, x: float) -> float:
-        """Running variation over (0, x]; the jump at 0 does not count."""
-        if x <= 0.0:
-            return 0.0
-        tv = sum(p.abs_mass_between(0.0, x) for p in self.pieces)
-        tv += sum(abs(a.w) for a in self.atoms if 0.0 < a.x <= x)
-        return float(tv)
+    def tv_function(self, x):
+        """Running variation over (0, x]; the jump at 0 does not count.
+
+        A point returns a float, an array an ndarray of its shape.
+        """
+        xs = np.asarray(x, dtype=float)
+        tv = np.zeros_like(xs)
+        for p in self.pieces:
+            tv = tv + p.abs_mass_to(xs)
+        jumps = np.zeros_like(xs)  # summed apart, as in total_variation
+        for a in self.atoms:
+            if a.x > 0.0:
+                jumps = jumps + np.where(xs >= a.x, abs(a.w), 0.0)
+        tv = tv + jumps
+        return float(tv) if xs.ndim == 0 else tv
 
     # ------------------------------------------------------------------
     # structural queries

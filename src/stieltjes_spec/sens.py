@@ -64,7 +64,6 @@ from .ivp import (
 from .measure import Measure
 from .spectrum import (
     Eigenpair,
-    SpectrumConfig,
     _root_fn,
     _track_root,
     find_eigenvalue,
@@ -185,7 +184,7 @@ def fundamental_gradient_q(p: Measure, q: Measure, lam: complex, nu: Measure,
 
 def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
              epsilons=(1e-2, 1e-3, 1e-4),
-             cfg: SpectrumConfig | None = None) -> list[FdRow]:
+             cfg: SolverConfig | None = None) -> list[FdRow]:
     """Centered differences of the eigenvalue against the pairing formula.
 
     Each perturbed eigenvalue is tracked from the base root inside its own
@@ -194,9 +193,10 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     """
     _check_channel(channel)
     epsilons = [float(eps) for eps in epsilons]
+    if not epsilons:
+        raise BadArgumentError("need at least one finite difference step")
     if not all(0.0 < eps < np.inf for eps in epsilons):  # refuses NaN too
         raise BadArgumentError("finite difference steps must be positive and finite")
-    cfg = cfg or SpectrumConfig()
     ws = _nu_workspace(p, q, nu, 1.0)
     base = find_eigenvalue(p, q, xi, n, cfg, ws)
     gradient = eigenvalue_gradient_p if channel == "p" else eigenvalue_gradient_q

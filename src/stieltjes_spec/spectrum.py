@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,9 @@ _CONTOUR_DOUBLINGS = 3  # per contour radius, before a radius bump
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
-    """Solver settings; root width, contours and window counts are fixed."""
-    solver: SolverConfig = field(default_factory=SolverConfig)
+# the spectrum layer reads only solver settings: root width, contours and
+# window counts are fixed, so its config is the solver's
+SpectrumConfig = SolverConfig
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,7 @@ def _delta_values(p, q, xi, lams, cfg, ws):
     m = len(lams)
     vals = np.empty(m, dtype=complex)
     for i in range(m):
-        vals[i] = solve_value(p, q, complex(lams[i]), _E1, cfg.solver, ws,
-                              verify=False)
+        vals[i] = solve_value(p, q, complex(lams[i]), _E1, cfg, ws, verify=False)
     out = np.empty(m, dtype=complex)
     for i in range(m):
         out[i] = vals[(m - i) % m].conjugate() + sign * vals[i]
@@ -204,14 +202,13 @@ def _winding(p, q, xi, center, radius, cfg, ws):
 
 
 def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
-                     cfg: SpectrumConfig | None = None,
+                     cfg: SolverConfig | None = None,
                      workspace: Workspace | None = None) -> int:
     """Zeros of Delta_xi enclosed by a k-plane disc, by winding count.
 
     center must be real.  The cube maps an offset disc injectively, so it
     must exclude the origin.
     """
-    cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
     center = float(center)
     radius = float(radius)
@@ -247,10 +244,8 @@ def _root_fn(p, q, xi, cfg, ws):
     verification when they are packaged into an Eigenpair.
     """
     if xi == 1:
-        return lambda k: solve_value(p, q, k**3, _E1, cfg.solver, ws,
-                                     verify=False).imag
-    return lambda k: solve_value(p, q, k**3, _E1, cfg.solver, ws,
-                                 verify=False).real
+        return lambda k: solve_value(p, q, k**3, _E1, cfg, ws, verify=False).imag
+    return lambda k: solve_value(p, q, k**3, _E1, cfg, ws, verify=False).real
 
 
 def _sign_changes(vals) -> list[int]:
@@ -397,20 +392,20 @@ def _kernel_coefficients(m: np.ndarray):
 
 
 def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
-                  cfg: SpectrumConfig | None = None,
+                  cfg: SolverConfig | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
     """Package the eigenpair at an already-located real eigenvalue."""
-    cfg = cfg or SpectrumConfig()
+    cfg = cfg or SolverConfig()
     xi = _check_xi(xi)
     lam = float(lam)
     ws = _workspace_for(p, q, workspace)
-    geo, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg.solver)
+    geo, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
     m = _pairing_matrix(cols, xi)
     sv = np.linalg.svd(m, compute_uv=False)
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
-    residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg.solver)
+    residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg)
     label = _check_index(n) if n is not None else 0
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
     # just its determinant
@@ -461,7 +456,7 @@ def _predicted_bracket(f, k_hat, lo, hi, f_lo, f_hi):
 
 
 def find_eigenvalue(p: Measure, q: Measure, xi, n,
-                    cfg: SpectrumConfig | None = None,
+                    cfg: SolverConfig | None = None,
                     workspace: Workspace | None = None) -> Eigenpair:
     """Locate the root in the n-th lattice window and package it.
 
@@ -471,7 +466,6 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
     (xi = 1) or 2 f (xi = 2), f the real characteristic, so the end signs
     cost no solve.  The central disc predicts lambda, the others k.
     """
-    cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
     ws = _workspace_for(p, q, workspace)
     window = localize(xi, n)
@@ -527,7 +521,7 @@ def _double_candidates(f, grid, vals):
 
 
 def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
-                  cfg: SpectrumConfig | None = None,
+                  cfg: SolverConfig | None = None,
                   workspace: Workspace | None = None) -> list[Eigenpair]:
     """Eigenpairs for indices n_min..n_max with verified central counting.
 
@@ -537,7 +531,6 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     yields two records with the same location.  Indices beyond the central
     window get their own certified window search.
     """
-    cfg = cfg or SpectrumConfig()
     xi = _check_xi(xi)
     n_min, n_max = _check_index(n_min), _check_index(n_max)
     if n_min > n_max:
@@ -608,13 +601,12 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
 
 
 def spectral_shift(p: Measure, q: Measure, xi, n, epsilon: float,
-                   cfg: SpectrumConfig | None = None) -> tuple[float, float]:
+                   cfg: SolverConfig | None = None) -> tuple[float, float]:
     """Eigenvalue before and after adding epsilon * Lebesgue to p.
 
     The exact translation identity says the second value equals the first
     plus epsilon; returning both makes the comparison the caller's.
     """
-    cfg = cfg or SpectrumConfig()
     base = find_eigenvalue(p, q, xi, n, cfg)
     shifted_p = p.plus(Measure.lebesgue(float(epsilon)))
     ws = Workspace(shifted_p, q)

@@ -336,3 +336,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stieltjes-spec 0.1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["charfn", "--bc", "1", "--lambda=-10:300", "--grid", "-1"],
+    ["charfn", "--bc", "1", "--lambda=-10:300", "--grid", "0"],
+    ["lab", "bounds", "--lambda", "64", "--seed", "7", "--samples", "0"],
+    ["lab", "bounds", "--lambda", "64", "--seed", "7", "--samples", "-2"],
+])
+def test_empty_sweeps_are_refused(capsys, tmp_path, command):
+    # a scan of no points, or an audit of no cases, would pass vacuously
+    out_file = tmp_path / "table.csv"
+    assert main(command + ["--out", str(out_file)]) == 2
+    assert _stderr_error(capsys)["error"] == "BAD_ARGUMENT"
+    assert not out_file.exists()

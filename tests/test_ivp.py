@@ -952,3 +952,21 @@ def test_unrepresentable_tail_bound_is_refused_at_once():
     assert ctx["budget"] == pytest.approx(2160.0)
     assert ctx["terms"] == 1
     assert ctx["log10_bound"] > 308.0
+
+
+def test_zero_pair_path_is_the_closed_form_after_one_zero_term():
+    # with p = q = 0 the budget is 0: the first Picard term vanishes
+    # exactly, its tail bound is -inf, and the series stops there, so every
+    # edge keeps the engine's initial rows, the closed form
+    zero = Measure.zero()
+    for lam in (64.0, -3e4 + 7e3j, 2e6):
+        fp = FundamentalPath(zero, zero, lam)
+        geo = fp._geo
+        eng = ivp._Engine(geo, lam, SolverConfig())
+        growth = -(cube_root(lam) * ivp._OMEGA_POW).imag
+        size = np.maximum(1.0, np.exp(np.multiply.outer(growth, geo.edges)).sum(axis=0))
+        rows = zero_potential_rows(lam, geo.edges)
+        for j, (init, col) in enumerate(zip(ivp._CANONICAL, fp.columns)):
+            assert col.n_terms == 1
+            assert np.array_equal(col.y, eng.initial_rows(init)[1])
+            assert np.all(np.abs(col.y - rows[j]) <= 1e-13 * size)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stieltjes_spec.errors import BadArgumentError
+from stieltjes_spec.ivp import SolverConfig
 from stieltjes_spec.lab import (
     ConvergenceReport,
     asymptotic_residuals,
@@ -201,3 +202,13 @@ def test_asymptotics_refuse_a_fractional_index():
         with pytest.raises(BadArgumentError, match="index"):
             asymptotic_residuals(Measure.zero(), Measure.zero(), 1, n_min,
                                  n_max)
+
+
+def test_eigenvalue_drivers_take_the_solver_config():
+    cfg = SolverConfig(tol=1e-11)
+    q = Measure.point(0.5, 0.7)
+    rep = weakstar_eig(lambda m: q, (1,), q, Measure.zero(), 1, 1, cfg,
+                       channel="q")
+    assert rep.errors == (0.0,)
+    res = asymptotic_residuals(Measure.zero(), Measure.zero(), 1, 1, 2, cfg)
+    assert all(abs(r) < 1e-6 for r in res.residuals)

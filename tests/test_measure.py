@@ -10,6 +10,8 @@ from stieltjes_spec.measure import (
     Atom,
     Measure,
     PolynomialPiece,
+    _poly_val,
+    _real_roots_in,
     lebesgue_integral_of_induced,
     ls_integral,
     oscillation_sequence,
@@ -251,3 +253,76 @@ def test_lebesgue_integral_of_induced_vs_trapezoid():
         xs = np.linspace(0, 1, 400_001)
         oracle = np.trapezoid(mu.eval_many(xs), xs)
         assert abs(lebesgue_integral_of_induced(mu) - oracle) < 1e-5
+
+
+def sign_changing_measure(rng):
+    """Cubic pieces with three roots inside each, atoms at 0 and inside."""
+    cuts = np.sort(rng.uniform(0.0, 1.0, 4))
+    pieces = []
+    for lo, hi in ((0.0, cuts[0]), (cuts[1], cuts[2]), (cuts[2], cuts[3])):
+        roots = np.sort(rng.uniform(0.0, hi - lo, 3))
+        coeffs = np.poly(roots)[::-1] * rng.uniform(-4.0, 4.0)
+        pieces.append(PolynomialPiece(lo, hi, tuple(coeffs)))
+    atoms = (Atom(0.0, float(rng.uniform(-1, 1))),
+             Atom(float(cuts[1]), float(rng.uniform(-1, 1))),
+             Atom(float(rng.uniform(0, 1)), float(rng.uniform(-1, 1))))
+    return Measure(tuple(pieces), atoms), pieces
+
+
+def loop_tv(mu, x):
+    """Running variation by the scalar per-piece loop, cut by cut."""
+    if x <= 0.0:
+        return 0.0
+    tv = 0
+    for p in mu.pieces:
+        b = min(x, p.hi)
+        if b <= p.lo:
+            continue
+        anti = (0.0,) + tuple(c / (i + 1) for i, c in enumerate(p.coeffs))
+        roots = [r for r in _real_roots_in(p.coeffs, p.length) if r < b - p.lo]
+        vals = _poly_val(anti, np.array([0.0, *roots, b - p.lo]))
+        piece_tv = 0.0
+        for left, right in zip(vals[:-1], vals[1:]):
+            piece_tv += abs(float(right) - float(left))
+        tv += piece_tv
+    tv += sum(abs(a.w) for a in mu.atoms if 0.0 < a.x <= x)
+    return float(tv)
+
+
+def test_tv_function_of_an_array_is_pointwise_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        mu, _ = sign_changing_measure(rng)
+        xs = np.concatenate([rng.uniform(-0.3, 1.3, 40), mu.breakpoints(),
+                             [0.0, -0.0, -1.0, 1.0, 2.0]])
+        got = mu.tv_function(xs)
+        want = np.array([mu.tv_function(float(x)) for x in xs])
+        assert got.shape == xs.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.array([loop_tv(mu, x) for x in xs]).tobytes()
+        assert np.all(got[xs <= 0.0] == 0.0)
+        assert mu.tv_function(xs.reshape(-1, 1)).shape == (len(xs), 1)
+        assert type(mu.tv_function(0.5)) is float
+
+
+def test_abs_mass_to_matches_gauss_between_known_roots():
+    # between consecutive roots |density| is a cubic of one sign, which
+    # 4-point Gauss integrates exactly: an oracle that finds no roots
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        mu, pieces = sign_changing_measure(rng)
+        for piece in pieces:
+            roots = np.sort(np.roots(list(reversed(piece.coeffs))).real)
+            xs = piece.lo + rng.uniform(-0.2, 1.2, 12) * piece.length
+            got = piece.abs_mass_to(xs)
+            for x, g in zip(xs, got):
+                u = min(max(x - piece.lo, 0.0), piece.length)
+                cuts = np.concatenate([[0.0], roots[roots < u], [u]])
+                want = 0.0
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    t = piece.lo + 0.5 * (a + b) + 0.5 * (b - a) * nodes
+                    want += 0.5 * (b - a) * float(weights @ np.abs(piece.density(t)))
+                assert abs(g - want) <= 1e-13 * max(1.0, want)
+        assert abs(mu.total_variation() - (
+            mu.tv_function(1.0) + abs(mu.atom_weight(0.0)))) <= 1e-13

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stieltjes_spec.errors import BadArgumentError, UnsupportedMultiplicityError
-from stieltjes_spec.ivp import FundamentalPath, Workspace
+from stieltjes_spec.ivp import FundamentalPath, SolverConfig, Workspace
 from stieltjes_spec.measure import Measure, ramp_sequence
 from stieltjes_spec.sens import (
     eigenvalue_gradient_p,
@@ -228,3 +228,25 @@ def test_roadmap_gradients_match_composite_gauss(roadmap_pair, channel, nu):
     # only good to about 3e-7 absolute on the atom direction
     assert math.isfinite(got)
     assert abs(got - want) < 1e-7 * max(1.0, abs(want))
+
+
+def test_fd_check_takes_the_solver_config():
+    rows = fd_check(P_ATOM, Q_ATOM, 1, 1, Measure.lebesgue(1.0),
+                    epsilons=(1e-3,), cfg=SolverConfig(tol=1e-11))
+    assert len(rows) == 1
+    assert abs(rows[0].formula_value - 1.0) < 1e-9
+    assert all(r < FD_RTOL for r in _rel_rows(rows))
+
+
+def test_empty_step_list_is_refused_before_any_solve(monkeypatch):
+    calls = []
+    geometry = Workspace.geometry
+
+    def counted(ws, *args):
+        calls.append(args)
+        return geometry(ws, *args)
+
+    monkeypatch.setattr(Workspace, "geometry", counted)
+    with pytest.raises(BadArgumentError, match="at least one"):
+        fd_check(P_ATOM, Q_ATOM, 1, 1, Measure.lebesgue(1.0), epsilons=())
+    assert calls == []

@@ -16,6 +16,7 @@ from stieltjes_spec.errors import (
 )
 from stieltjes_spec.ivp import (
     InitialTriple,
+    SolverConfig,
     Workspace,
     cube_root,
     solve_transfer,
@@ -479,3 +480,28 @@ def test_certified_window_holds_the_transfer_root(budget, u, x_p, x_q, s_p,
 
     d = 1e-9 * max(1.0, abs(pair.k))
     assert (char(pair.k - d) < 0) != (char(pair.k + d) < 0)
+
+
+def test_spectrum_layer_hands_the_solver_config_straight_through(monkeypatch):
+    # SpectrumConfig is the solver's config under its old name; the
+    # one-field wrapper, and its solver= keyword, are gone
+    assert SpectrumConfig is SolverConfig
+    with pytest.raises(TypeError):
+        SpectrumConfig(solver=SolverConfig())
+    cfg = SolverConfig(tol=1e-11)
+    seen = []
+    solve = spectrum.solve_value
+
+    def recorded(*args, **kwargs):
+        seen.append(args[4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_value", recorded)
+    pair = find_eigenvalue(Z, ATOM_Q, 1, 1, cfg)
+    assert abs(pair.k - ATOM_ROOT_XI1_N1) < 1e-10
+    pairs = spectrum_scan(Z, Z, 1, -1, 3, cfg)
+    assert [p.n for p in pairs] == [-1, 0, 1, 2, 3]
+    for p in pairs:
+        want = (2 * p.n * math.pi) ** 3
+        assert abs(p.lam - want) < 1e-9 * max(1.0, abs(want))
+    assert seen and all(c is cfg for c in seen)
