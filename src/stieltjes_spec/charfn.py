@@ -18,14 +18,13 @@ root problems: Delta_1 = -2i Z1 and Delta_2 = 2 Y1.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadArgumentError, ConjugateMismatchError
 from .ivp import (
-    InitialTriple,
+    _CANONICAL,
     SolverConfig,
     Workspace,
     _solve_columns,
@@ -37,8 +36,7 @@ from .measure import Measure
 # relative agreement demanded between the two Delta routes
 _ROUTE_TOL = 1e-8
 
-_E1 = InitialTriple(1, 0, 0)
-_E2 = InitialTriple(0, 1, 0)
+_E1, _E2 = _CANONICAL[:2]
 
 
 class RealSplit(NamedTuple):
@@ -54,15 +52,6 @@ class RealSplit(NamedTuple):
     residue: float
 
 
-def _check_real(lam) -> float:
-    lam = complex(lam)
-    if lam.imag != 0.0:
-        raise BadArgumentError("real_split needs a real spectral parameter")
-    if not math.isfinite(lam.real):
-        raise BadArgumentError("lambda must be finite")
-    return lam.real
-
-
 def _check_xi(xi) -> int:
     if xi not in (1, 2):
         raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
@@ -72,11 +61,12 @@ def _check_xi(xi) -> int:
 def real_split(p: Measure, q: Measure, lam, cfg: SolverConfig | None = None,
                workspace: Workspace | None = None) -> RealSplit:
     """Split y1(1, lambda) for real lambda; reports a conjugation residue."""
-    lam_r = _check_real(lam)
-    cfg = cfg or SolverConfig()
+    lam = complex(lam)
+    if lam.imag != 0.0:
+        raise BadArgumentError("real_split needs a real spectral parameter")
     ws = _workspace_for(p, q, workspace)
-    v1 = solve_value(p, q, lam_r, _E1, cfg, ws)
-    residue = _mirror_residue(p, q, lam_r, v1, cfg)
+    v1 = solve_value(p, q, lam.real, _E1, cfg, ws)
+    residue = _mirror_residue(p, q, lam.real, v1, cfg)
     return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
 
 
@@ -94,7 +84,6 @@ def boundary_matrix(p: Measure, q: Measure, lam, xi,
                     workspace: Workspace | None = None):
     """The 2x2 endpoint pairing matrix M_xi(lambda)."""
     xi = _check_xi(xi)
-    cfg = cfg or SolverConfig()
     ws = _workspace_for(p, q, workspace)
     _, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
     return _pairing_matrix(cols, xi)
@@ -117,9 +106,6 @@ def delta(p: Measure, q: Measure, lam, xi, cfg: SolverConfig | None = None,
     """Characteristic determinant Delta_xi, verified against the one-solve form."""
     xi = _check_xi(xi)
     lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise BadArgumentError("lambda must be finite")
-    cfg = cfg or SolverConfig()
     ws = _workspace_for(p, q, workspace)
     m = boundary_matrix(p, q, lam, xi, cfg, ws)
     d_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

@@ -4,7 +4,9 @@ Five subcommands: solve, charfn, eig, sens, lab. Tables land in a file
 when --out is given (csv or json); a short human summary always goes to
 standard output. Failures print one machine-readable JSON object on
 standard error and exit with the taxonomy code: 2 input, 3 numerical,
-4 internal inconsistency.
+4 internal inconsistency. A number inside a measure literal, or a measure
+file, that cannot be read reports MEASURE_PARSE; a bad number in any other
+flag (--lambda, --epsilons, --tol, ...) reports BAD_ARGUMENT.
 
 Output is deterministic byte for byte: floats are printed with repr,
 headers carry the tool version, a sha256 over the resolved run
@@ -59,7 +61,8 @@ def parse_measure(text: str) -> Measure:
         parts = token.split(":")
         if len(parts) != 3:
             raise MeasureParseError(f"atom literal needs atom:x:w, got {text!r}")
-        return Measure.point(_parse_float(parts[1]), _parse_float(parts[2]))
+        return Measure.point(_parse_float(parts[1], MeasureParseError),
+                             _parse_float(parts[2], MeasureParseError))
     if token.startswith("density:"):
         body = token[len("density:"):]
         if not (body.startswith("[") and body.endswith("]")):
@@ -68,20 +71,22 @@ def parse_measure(text: str) -> Measure:
         items = [s for s in body[1:-1].split(",") if s.strip()]
         if not items:
             raise MeasureParseError("density literal needs coefficients")
-        return Measure.from_density(0.0, 1.0, tuple(_parse_float(s) for s in items))
+        return Measure.from_density(
+            0.0, 1.0, tuple(_parse_float(s, MeasureParseError) for s in items))
     if not os.path.exists(token):
         raise MeasureParseError(f"measure file not found: {token}")
     with open(token, encoding="utf-8") as fh:
         return Measure.from_json(fh.read())
 
 
-def _parse_float(text: str) -> float:
+def _parse_float(text: str, error=BadArgumentError) -> float:
+    """A finite float; measure literals pass error=MeasureParseError."""
     try:
         value = float(text)
     except ValueError as exc:
-        raise MeasureParseError(f"cannot parse number {text!r}") from exc
+        raise error(f"cannot parse number {text!r}") from exc
     if not math.isfinite(value):
-        raise MeasureParseError(f"number must be finite, got {text!r}")
+        raise error(f"number must be finite, got {text!r}")
     return value
 
 

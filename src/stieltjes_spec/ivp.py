@@ -240,6 +240,10 @@ class InitialTriple:
         return np.array([self.y0, self.z0, self.w0])
 
 
+def _initial(init) -> InitialTriple:
+    return init if isinstance(init, InitialTriple) else InitialTriple(*init)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """mesh_size is the uniform refinement floor, tol the sup-norm target;
@@ -291,6 +295,23 @@ def zero_potential(x: float, lam: complex) -> FundamentalMatrix:
 # mesh geometry, shared across lambdas
 
 
+def _gauss_cells(cuts: np.ndarray):
+    """Widths h, centers, and the 6-point Gauss nodes and weights (n, 6) of
+    the cells between consecutive cuts."""
+    h = np.diff(cuts)
+    centers = 0.5 * (cuts[:-1] + cuts[1:])
+    return (h, centers, centers[:, None] + 0.5 * h[:, None] * _G6_NODES,
+            0.5 * h[:, None] * _G6_WEIGHTS)
+
+
+def _edge_index(edges: np.ndarray, x: float, what: str) -> int:
+    """Index of the mesh edge at x; what names the point if there is none."""
+    idx = int(np.searchsorted(edges, x))
+    if idx >= len(edges) or abs(edges[idx] - x) > 1e-13:
+        raise BadArgumentError(f"{what} at {x} is not a mesh edge")
+    return idx
+
+
 class _Geometry:
     """Mesh plus every lambda-free quadrature tensor for one (p, q) pair.
 
@@ -311,17 +332,14 @@ class _Geometry:
             tv_q = q.tv_function(1.0)
             picard_budget = 3.0 * (2.0 * tv_q + p.tv_function(1.0) + tv_q)
         self.picard_budget = picard_budget
-        h = np.diff(edges)
+        h, centers, self.tg, self.gw = _gauss_cells(edges)
         if np.any(h <= 0):
             raise BadArgumentError("mesh edges must be strictly increasing")
         self.h = h
         self.n = len(h)
-        centers = 0.5 * (edges[:-1] + edges[1:])
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
         self.widths, self.width_of = np.unique(h, return_inverse=True)
-        self.tg = centers[:, None] + 0.5 * h[:, None] * _G6_NODES[None, :]
-        self.gw = 0.5 * h[:, None] * _G6_WEIGHTS[None, :]
         self.qg = q.drift_many(self.tg.ravel()).reshape(self.n, 6)
         self.q_edge = q.drift_many(edges)
         rho = q.density_many(self.tg.ravel()) + 1j * p.density_many(self.tg.ravel())
@@ -338,20 +356,11 @@ class _Geometry:
             q.density_many(flat) + 1j * p.density_many(flat)
         ).reshape(self.tau.shape)
         # atoms strictly inside (0, 1]; each must sit on a mesh edge
-        joint: dict[float, list[float]] = {}
-        for a in q.atoms:
-            if a.x > 0:
-                joint.setdefault(a.x, [0.0, 0.0])[0] += a.w
-        for a in p.atoms:
-            if a.x > 0:
-                joint.setdefault(a.x, [0.0, 0.0])[1] += a.w
         self.atoms = []
-        for x_a in sorted(joint):
-            idx = int(np.searchsorted(edges, x_a))
-            if idx >= len(edges) or abs(edges[idx] - x_a) > 1e-13:
-                raise BadArgumentError(f"atom at {x_a} is not a mesh edge")
-            dq, dp = joint[x_a]
-            self.atoms.append((idx, x_a, dq + 1j * dp, dq - 1j * dp))
+        for x_a in sorted({a.x for a in p.atoms + q.atoms if a.x > 0}):
+            dq, dp = q.atom_weight(x_a), p.atom_weight(x_a)
+            self.atoms.append((_edge_index(edges, x_a, "atom"), x_a,
+                               dq + 1j * dp, dq - 1j * dp))
 
     @cached_property
     def budget_logs(self) -> np.ndarray:
@@ -439,6 +448,9 @@ class Workspace:
         self.p = p
         self.q = q
         self.extra = tuple(sorted({float(b) for b in extra_breakpoints}))
+        for b in self.extra:
+            if not 0.0 <= b <= 1.0:  # refuses NaN and infinities too
+                raise BadArgumentError(f"extra breakpoint {b} outside [0, 1]")
         self._cache: dict[tuple[float, int, int], _Geometry] = {}
 
     def _base_edges(self, n_uniform: int) -> np.ndarray:
@@ -817,8 +829,7 @@ class SolutionPath:
         for idx, x_a, _, d_conj in geo.atoms:
             deltas[idx] = deltas.get(idx, 0.0) - self.y[idx] * d_conj
             locs[idx] = x_a
-        for x_a, delta in extra_jumps:
-            idx = int(np.searchsorted(geo.edges, x_a))
+        for idx, x_a, delta in extra_jumps:
             deltas[idx] = deltas.get(idx, 0.0) + delta
             locs[idx] = x_a
         w_pre = self.w_post.copy()
@@ -900,10 +911,15 @@ class SolutionPath:
 # public solvers
 
 
-def _effective(lam: complex) -> tuple[complex, float]:
+def _finite_lambda(lam) -> complex:
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise BadArgumentError("lambda must be finite")
+    return lam
+
+
+def _effective(lam: complex) -> tuple[complex, float]:
+    lam = _finite_lambda(lam)
     if abs(lam) < _SHIFT_MIN:
         return lam + 1.0, 1.0
     return lam, 0.0
@@ -958,11 +974,12 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
     )
 
 
-def _solve_columns(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
+def _solve_columns(ws: Workspace, lam: complex, inits, cfg: SolverConfig | None):
     """Verified solves of several initial triples on one shared mesh.
 
     Returns the mesh geometry and one SolutionPath per triple.
     """
+    cfg = cfg or SolverConfig()
     eng, results = _solve_verified(ws, lam, inits, cfg)
     paths = [
         SolutionPath(lam, init, eng.geo, *eng.recover(init, y_node, y_edge), n_terms)
@@ -975,11 +992,8 @@ def solve_picard(p: Measure, q: Measure, lam: complex, init: InitialTriple,
                  cfg: SolverConfig | None = None,
                  workspace: Workspace | None = None) -> SolutionPath:
     """Fixed-point solve; the mesh is doubled until two resolutions agree."""
-    cfg = cfg or SolverConfig()
-    if not isinstance(init, InitialTriple):
-        init = InitialTriple(*init)
     ws = _workspace_for(p, q, workspace)
-    _, (path,) = _solve_columns(ws, lam, [init], cfg)
+    _, (path,) = _solve_columns(ws, lam, [_initial(init)], cfg)
     return path
 
 
@@ -994,8 +1008,7 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     go through a verified solve.
     """
     cfg = cfg or SolverConfig()
-    if not isinstance(init, InitialTriple):
-        init = InitialTriple(*init)
+    init = _initial(init)
     ws = _workspace_for(p, q, workspace)
     lam_eff, shift_c = _effective(lam)
     if ws.p.is_zero and ws.q.is_zero and shift_c == 0.0:
@@ -1141,12 +1154,7 @@ def solve_transfer(p: Measure, q: Measure, lam: complex,
         raise UnsupportedMeasureError(
             "transfer solver needs purely atomic coefficients"
         )
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise BadArgumentError("lambda must be finite")
-    if not isinstance(init, InitialTriple):
-        init = InitialTriple(*init)
-    return TransferPath(p, q, lam, init)
+    return TransferPath(p, q, _finite_lambda(lam), _initial(init))
 
 
 # ---------------------------------------------------------------------------
@@ -1219,9 +1227,7 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
     offsets the state immediately.  w jumps by h(a) nu{a} at atoms of nu and
     by the usual -y(a) (dq{a} - i dp{a}) at atoms of the coefficients.
     """
-    cfg = cfg or SolverConfig()
-    if not isinstance(init, InitialTriple):
-        init = InitialTriple(*init)
+    init = _initial(init)
     ws = Workspace(p, q, extra_breakpoints=nu.breakpoints())
     fp = FundamentalPath(p, q, lam, cfg, ws)
     geo = fp._geo
@@ -1238,12 +1244,10 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
 
     jumps, extra_jumps = [], []
     for a in nu.atoms:
-        idx = int(np.searchsorted(edges, a.x))
-        if idx >= len(edges) or abs(edges[idx] - a.x) > 1e-13:
-            raise BadArgumentError(f"forcing atom at {a.x} is not a mesh edge")
+        idx = _edge_index(edges, a.x, "forcing atom")
         jumps.append((idx, a.w * g_edge[idx]))
         if a.x > 0:
-            extra_jumps.append((a.x, a.w * complex(h_edge[idx])))
+            extra_jumps.append((idx, a.x, a.w * complex(h_edge[idx])))
     weights = geo.gw * nu.density_many(tg.ravel()).reshape(tg.shape)
     tau_rho = nu.density_many(geo.tau.reshape(-1)).reshape(geo.tau.shape)
     m_nu = _partial_moments(geo.w_plain * tau_rho)

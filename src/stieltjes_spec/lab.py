@@ -176,10 +176,11 @@ def solution_continuity(p0: Measure, q0: Measure, perturbations, lams,
     perturbation's induced functions.
     """
     perturbations = [(dp, dq) for dp, dq in perturbations]
+    if not perturbations:
+        raise BadArgumentError("need at least one perturbation")
     lams = tuple(lams)
     if not lams:
         raise BadArgumentError("need at least one lambda")
-    cfg = cfg or SolverConfig()
     cuts = set(p0.breakpoints()) | set(q0.breakpoints())
     for dp, dq in perturbations:
         for d in (dp, dq):
@@ -237,7 +238,6 @@ def bound_audit(p: Measure, q: Measure, lams, cfg: SolverConfig | None = None
     lams = tuple(complex(l) for l in lams)
     if not lams:
         raise BadArgumentError("need at least one lambda")
-    cfg = cfg or SolverConfig()
     k_mags, sol_ratios, cmp_ratios, violations = [], [], [], []
     points = 0
     for lam in lams:

@@ -381,8 +381,10 @@ def oscillation_sequence(m: int) -> Measure:
     Its variation approaches the exact value 4 m to relative accuracy well
     under 1e-6.
     """
-    if m < 1:
-        raise MeasureFormatError("oscillation index m must be positive")
+    if not float(m).is_integer() or m < 1:
+        raise MeasureFormatError(
+            f"oscillation index m must be a positive integer, got {m!r}")
+    m = int(m)
     freq = 2.0 * math.pi * m * m
     amp = 2.0 * math.pi * m  # density amplitude of the induced function
     n_cells = m * m * _NODES_PER_PERIOD

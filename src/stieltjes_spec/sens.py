@@ -54,12 +54,11 @@ import numpy as np
 
 from .errors import BadArgumentError, UnsupportedMultiplicityError
 from .ivp import (
-    _G6_NODES,
-    _G6_WEIGHTS,
     FundamentalPath,
     SolverConfig,
     Workspace,
     _adjugate_column3,
+    _gauss_cells,
 )
 from .measure import Measure
 from .spectrum import (
@@ -80,6 +79,16 @@ class FdRow(NamedTuple):
 def _check_channel(channel):
     if channel not in ("p", "q"):
         raise BadArgumentError(f"channel must be 'p' or 'q', got {channel!r}")
+
+
+def _check_steps(steps) -> list[float]:
+    """The finite difference steps as floats, at least one, each positive."""
+    steps = [float(eps) for eps in steps]
+    if not steps:
+        raise BadArgumentError("need at least one finite difference step")
+    if not all(0.0 < eps < np.inf for eps in steps):  # refuses NaN too
+        raise BadArgumentError("finite difference steps must be positive and finite")
+    return steps
 
 
 def _perturbed(p, q, nu, channel, s):
@@ -105,11 +114,8 @@ def _rule(nodes: np.ndarray, nu: Measure, x: float):
     atoms do not carry.
     """
     inner = [b for b in nu.breakpoints() if 0.0 < b < x]
-    cuts = np.union1d(nodes[nodes < x], inner + [x])
-    h = np.diff(cuts)
-    tg = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + 0.5 * h[:, None] * _G6_NODES
-    tg = tg.ravel()
-    gw = (0.5 * h[:, None] * _G6_WEIGHTS).ravel()
+    _, _, tg, gw = _gauss_cells(np.union1d(nodes[nodes < x], inner + [x]))
+    tg, gw = tg.ravel(), gw.ravel()
     atoms = [a for a in nu.atoms if 0.0 < a.x <= x]
     t = np.concatenate([tg, [a.x for a in atoms]])
     w_nu = np.concatenate([gw * nu.density_many(tg), [a.w for a in atoms]])
@@ -151,7 +157,6 @@ def _nu_workspace(p, q, nu, x):
 def _fundamental_gradient(p, q, lam, nu, x, cfg, channel) -> np.ndarray:
     if not 0.0 < x <= 1.0:
         raise BadArgumentError(f"evaluation point {x} outside (0, 1]")
-    cfg = cfg or SolverConfig()
     fp = FundamentalPath(p, q, lam, cfg, _nu_workspace(p, q, nu, x))
     t, w_nu, w_drift = _rule(fp.columns[0].nodes, nu, x)
     y_rows = np.stack([c.eval_y(t) for c in fp.columns], axis=-1)
@@ -192,11 +197,7 @@ def fd_check(p: Measure, q: Measure, xi, n, nu: Measure, channel: str = "p",
     branches.
     """
     _check_channel(channel)
-    epsilons = [float(eps) for eps in epsilons]
-    if not epsilons:
-        raise BadArgumentError("need at least one finite difference step")
-    if not all(0.0 < eps < np.inf for eps in epsilons):  # refuses NaN too
-        raise BadArgumentError("finite difference steps must be positive and finite")
+    epsilons = _check_steps(epsilons)
     ws = _nu_workspace(p, q, nu, 1.0)
     base = find_eigenvalue(p, q, xi, n, cfg, ws)
     gradient = eigenvalue_gradient_p if channel == "p" else eigenvalue_gradient_q
@@ -222,9 +223,7 @@ def fundamental_fd_check(p: Measure, q: Measure, lam: complex, nu: Measure,
     Returns (fd_matrix, formula_matrix, max entrywise abs error).
     """
     _check_channel(channel)
-    if not 0.0 < epsilon < np.inf:  # refuses NaN too
-        raise BadArgumentError("finite difference steps must be positive and finite")
-    cfg = cfg or SolverConfig()
+    (epsilon,) = _check_steps([epsilon])
     gradient = fundamental_gradient_p if channel == "p" else fundamental_gradient_q
     formula = gradient(p, q, lam, nu, x, cfg)
     sides = []

@@ -374,8 +374,15 @@ def _combine(geo, lam, cols, coefs):
                         max(c.n_terms for c in cols))
 
 
-def _l2_norm_sq(geo, path) -> float:
-    return float(np.sum(geo.gw * np.abs(path.node[0]) ** 2))
+def _l2_norm_sq(geo, y_node) -> float:
+    return float(np.sum(geo.gw * np.abs(y_node) ** 2))
+
+
+def _normalised(geo, cols, coefs):
+    """coefs divided by the L2 norm of coefs[0] y1 + coefs[1] y2."""
+    a, b = coefs
+    nrm = math.sqrt(_l2_norm_sq(geo, a * cols[0].node[0] + b * cols[1].node[0]))
+    return a / nrm, b / nrm
 
 
 def _kernel_coefficients(m: np.ndarray):
@@ -395,7 +402,6 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                   cfg: SolverConfig | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
     """Package the eigenpair at an already-located real eigenvalue."""
-    cfg = cfg or SolverConfig()
     xi = _check_xi(xi)
     lam = float(lam)
     ws = _workspace_for(p, q, workspace)
@@ -410,22 +416,15 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
     # just its determinant
     if sv[0] < _RANK_TOL * col_scale:
-        basis = []
-        for coefs in ((1.0, 0.0), (0.0, 1.0)):
-            raw = _combine(geo, lam, cols, coefs)
-            nrm = math.sqrt(_l2_norm_sq(geo, raw))
-            basis.append(_combine(geo, lam, cols,
-                                  (coefs[0] / nrm, coefs[1] / nrm)))
+        basis = tuple(_combine(geo, lam, cols, _normalised(geo, cols, coefs))
+                      for coefs in ((1.0, 0.0), (0.0, 1.0)))
         return Eigenpair(xi=xi, n=label, lam=lam, k=k, g_mult=2,
-                         a=None, b=None, E=None, basis=tuple(basis),
+                         a=None, b=None, E=None, basis=basis,
                          bc_residual=float(sv[0]) / col_scale,
                          norm_residual=0.0, realness_residue=residue)
-    a, b = _kernel_coefficients(m)
-    raw = _combine(geo, lam, cols, (a, b))
-    nrm = math.sqrt(_l2_norm_sq(geo, raw))
-    a, b = a / nrm, b / nrm
+    a, b = _normalised(geo, cols, _kernel_coefficients(m))
     path = _combine(geo, lam, cols, (a, b))
-    norm_res = abs(_l2_norm_sq(geo, path) - 1.0)
+    norm_res = abs(_l2_norm_sq(geo, path.node[0]) - 1.0)
     vec = np.array([a, b])
     bc_res = float(np.max(np.abs(m @ vec))) / (
         col_scale * float(np.max(np.abs(vec))))

@@ -350,3 +350,22 @@ def test_empty_sweeps_are_refused(capsys, tmp_path, command):
     assert main(command + ["--out", str(out_file)]) == 2
     assert _stderr_error(capsys)["error"] == "BAD_ARGUMENT"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sens", "--bc", "1", "--n-min", "1", "--n-max", "1", "--epsilons", "abc"],
+    ["charfn", "--bc", "1", "--lambda", "abc:5"],
+    ["charfn", "--bc", "1", "--lambda", "0:inf"],
+    ["lab", "solcont", "--family", "lebesgue", "--epsilons", "nan"],
+])
+def test_bad_number_flags_are_bad_arguments(capsys, command):
+    # only measure literals and files report MEASURE_PARSE
+    assert main(command) == 2
+    assert _stderr_error(capsys)["error"] == "BAD_ARGUMENT"
+
+
+@pytest.mark.parametrize("literal", ["atom:x:1", "atom:0.5:nan",
+                                     "density:[1,abc]"])
+def test_bad_numbers_in_measure_literals_stay_parse_errors(capsys, literal):
+    assert main(["solve", "--p", literal, "--lambda", "1"]) == 2
+    assert _stderr_error(capsys)["error"] == "MEASURE_PARSE"

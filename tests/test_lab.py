@@ -212,3 +212,9 @@ def test_eigenvalue_drivers_take_the_solver_config():
     assert rep.errors == (0.0,)
     res = asymptotic_residuals(Measure.zero(), Measure.zero(), 1, 1, 2, cfg)
     assert all(abs(r) < 1e-6 for r in res.residuals)
+
+
+def test_continuity_rejects_an_empty_perturbation_list():
+    # an empty report would pass its trend verdict vacuously
+    with pytest.raises(BadArgumentError, match="perturbation"):
+        solution_continuity(Measure.zero(), Measure.zero(), [], lams=(64.0,))

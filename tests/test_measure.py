@@ -326,3 +326,9 @@ def test_abs_mass_to_matches_gauss_between_known_roots():
                 assert abs(g - want) <= 1e-13 * max(1.0, want)
         assert abs(mu.total_variation() - (
             mu.tv_function(1.0) + abs(mu.atom_weight(0.0)))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2.5, math.inf, math.nan])
+def test_oscillation_sequence_refuses_a_non_integral_index(m):
+    with pytest.raises(MeasureFormatError, match="integer"):
+        oscillation_sequence(m)

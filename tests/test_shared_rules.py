@@ -1,0 +1,120 @@
+"""Rules the solver enforces once, for every driver that reaches it.
+
+A non-finite lambda is refused by one check in ivp, whichever entry point
+it arrives through, and a missing config resolves to SolverConfig() in the
+solver, so a driver that passes cfg on gives the same bits for None as for
+the default.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from stieltjes_spec.charfn import boundary_matrix, delta, real_split
+from stieltjes_spec.errors import BadArgumentError
+from stieltjes_spec.ivp import (
+    FundamentalPath,
+    InitialTriple,
+    SolutionPath,
+    SolverConfig,
+    Workspace,
+    solve_inhomogeneous,
+    solve_picard,
+    solve_transfer,
+    solve_value,
+)
+from stieltjes_spec.lab import bound_audit, solution_continuity
+from stieltjes_spec.measure import Measure
+from stieltjes_spec.sens import fundamental_fd_check, fundamental_gradient_q
+from stieltjes_spec.spectrum import eigenfunction
+
+P = Measure.point(0.4, 0.3)
+Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+Q_ATOMIC = Measure.point(0.5, 0.7)
+NU = Measure.point(0.3, 1.0).plus(Measure.from_density(0.2, 0.7, (1.0,)))
+INIT = InitialTriple(1.0, 0.3, -0.2)
+
+REAL_BAD = (math.inf, -math.inf, math.nan, complex(math.nan, 0.0))
+COMPLEX_BAD = REAL_BAD + (complex(0.0, math.inf), complex(math.nan, math.nan))
+
+ENTRY_POINTS = {
+    "solve_value": (lambda lam: solve_value(P, Q, lam, INIT), COMPLEX_BAD),
+    "solve_value_zero": (lambda lam: solve_value(Measure.zero(), Measure.zero(),
+                                                 lam, INIT), COMPLEX_BAD),
+    "solve_picard": (lambda lam: solve_picard(P, Q, lam, INIT), COMPLEX_BAD),
+    "solve_transfer": (lambda lam: solve_transfer(P, Q_ATOMIC, lam, INIT),
+                       COMPLEX_BAD),
+    "FundamentalPath": (lambda lam: FundamentalPath(P, Q, lam), COMPLEX_BAD),
+    "real_split": (lambda lam: real_split(P, Q, lam), REAL_BAD),
+    "delta": (lambda lam: delta(P, Q, lam, 1), COMPLEX_BAD),
+    # eigenfunction takes a float
+    "eigenfunction": (lambda lam: eigenfunction(P, Q, 1, lam), REAL_BAD[:3]),
+}
+
+
+@pytest.mark.parametrize("name,lam", [
+    (name, lam) for name, (_, bad) in ENTRY_POINTS.items() for lam in bad
+])
+def test_a_non_finite_lambda_is_refused_alike_everywhere(name, lam):
+    call = ENTRY_POINTS[name][0]
+    with pytest.raises(BadArgumentError) as exc:
+        call(lam)
+    assert str(exc.value) == "lambda must be finite"
+
+
+def _bits(value):
+    """A hashable image of value that two results share only bit for bit."""
+    if isinstance(value, SolutionPath):
+        return _bits((value.node, value.edge, value.w_pre, value.jumps,
+                      value.n_terms))
+    if dataclasses.is_dataclass(value):
+        return _bits(tuple(getattr(value, f.name)
+                           for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return (str(value.dtype), value.shape, value.tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, (float, complex, np.floating, np.complexfloating)):
+        z = complex(value)
+        return (repr(z.real), repr(z.imag))
+    return repr(value)
+
+
+DRIVERS = {
+    "real_split": lambda cfg: real_split(P, Q, 64.0, cfg),
+    "boundary_matrix": lambda cfg: boundary_matrix(P, Q, 300 - 40j, 2, cfg),
+    "delta": lambda cfg: delta(P, Q, 300 - 40j, 1, cfg),
+    "solve_picard": lambda cfg: solve_picard(P, Q, 64.0, INIT, cfg),
+    "solve_inhomogeneous": lambda cfg: solve_inhomogeneous(
+        P, Q, 64.0, INIT, lambda t: 1.0 + t, NU, cfg),
+    "eigenfunction": lambda cfg: eigenfunction(P, Q, 1, 64.0, cfg=cfg),
+    "fundamental_gradient": lambda cfg: fundamental_gradient_q(
+        P, Q, 100.0, NU, 0.8, cfg),
+    "fundamental_fd_check": lambda cfg: fundamental_fd_check(
+        P, Q, 100.0, NU, "p", cfg=cfg),
+    "solution_continuity": lambda cfg: solution_continuity(
+        P, Q, [(Measure.lebesgue(1e-2), None)], (64.0,), cfg=cfg),
+    "bound_audit": lambda cfg: bound_audit(P, Q, (64.0,), cfg),
+}
+
+
+@pytest.mark.parametrize("name", DRIVERS)
+def test_no_config_is_the_default_config_bit_for_bit(name):
+    run = DRIVERS[name]
+    assert _bits(run(None)) == _bits(run(SolverConfig()))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, math.inf])
+def test_workspace_refuses_breakpoints_off_the_unit_interval(bad):
+    # -0.5 used to stretch the mesh over [-0.5, 1]; NaN failed in linspace
+    with pytest.raises(BadArgumentError, match="outside"):
+        Workspace(P, Q, [0.3, bad])
+
+
+def test_workspace_keeps_breakpoints_inside_the_unit_interval():
+    ws = Workspace(P, Q, [1.0, 0.25, 0.0])
+    assert ws.extra == (0.0, 0.25, 1.0)
+    edges = ws.geometry(0.0, 256, 0).edges
+    assert edges[0] == 0.0 and edges[-1] == 1.0 and 0.25 in edges
