@@ -14,6 +14,10 @@ and delta() evaluates both routes, refusing to answer when they disagree.
 
 For real lambda the split y1(1) = Y1 + i Z1 turns the two pairings into real
 root problems: Delta_1 = -2i Z1 and Delta_2 = 2 Y1.
+
+This module is the one home of the pairing: its sign, the (E1, E2) solve
+with M_xi, the one-solve Delta and the real characteristic Z1 or Y1.  The
+last two take solved values, so spectrum makes its own solves.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadArgumentError, ConjugateMismatchError
+from .errors import BadArgumentError, ConjugateMismatchError, _integer
 from .ivp import (
     _CANONICAL,
     SolverConfig,
     Workspace,
+    _finite_lambda,
     _solve_columns,
     _workspace_for,
     solve_value,
@@ -53,20 +58,42 @@ class RealSplit(NamedTuple):
 
 
 def _check_xi(xi) -> int:
+    xi = _integer(xi, "boundary index")
     if xi not in (1, 2):
         raise BadArgumentError(f"boundary index must be 1 or 2, got {xi!r}")
-    return int(xi)
+    return xi
+
+
+def _sign(xi: int) -> float:
+    """(-1)^xi, the sign the pairing puts on y2'(1)."""
+    return (-1.0) ** xi
+
+
+def _one_solve(y1, y1_mirror, xi: int):
+    """Delta_xi from y1(1) at lambda and at conj lambda, scalars or arrays."""
+    return y1_mirror.conjugate() + _sign(xi) * y1
+
+
+def _real_characteristic(y1, xi: int):
+    """Z1 (xi = 1) or Y1 (xi = 2) of y1(1), or of conj(Delta_xi) / 2 at real lambda."""
+    return y1.imag if xi == 1 else y1.real
+
+
+def _real_lambda(lam, who: str) -> float:
+    """A finite lambda with zero imaginary part, as a float."""
+    lam = _finite_lambda(lam)
+    if lam.imag != 0.0:
+        raise BadArgumentError(f"{who} needs a real spectral parameter, got {lam!r}")
+    return lam.real
 
 
 def real_split(p: Measure, q: Measure, lam, cfg: SolverConfig | None = None,
                workspace: Workspace | None = None) -> RealSplit:
     """Split y1(1, lambda) for real lambda; reports a conjugation residue."""
-    lam = complex(lam)
-    if lam.imag != 0.0:
-        raise BadArgumentError("real_split needs a real spectral parameter")
+    lam = _real_lambda(lam, "real_split")
     ws = _workspace_for(p, q, workspace)
-    v1 = solve_value(p, q, lam.real, _E1, cfg, ws)
-    residue = _mirror_residue(p, q, lam.real, v1, cfg)
+    v1 = solve_value(p, q, lam, _E1, cfg, ws)
+    residue = _mirror_residue(p, q, lam, v1, cfg)
     return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
 
 
@@ -84,21 +111,19 @@ def boundary_matrix(p: Measure, q: Measure, lam, xi,
                     workspace: Workspace | None = None):
     """The 2x2 endpoint pairing matrix M_xi(lambda)."""
     xi = _check_xi(xi)
-    ws = _workspace_for(p, q, workspace)
-    _, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
-    return _pairing_matrix(cols, xi)
+    return _pairing_solve(_workspace_for(p, q, workspace), lam, xi, cfg)[2]
 
 
-def _pairing_matrix(cols, xi) -> np.ndarray:
-    """M_xi from the first two canonical columns."""
-    c1, c2 = cols
-    sign = (-1.0) ** xi
-    return np.array(
+def _pairing_solve(ws: Workspace, lam, xi: int, cfg: SolverConfig | None):
+    """(geometry, (E1, E2) columns, M_xi) of one verified two-column solve."""
+    geo, (c1, c2) = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
+    m = np.array(
         [
             [c1.y_at_one, c2.y_at_one],
-            [c1.yprime_at_one, c2.yprime_at_one + sign],
+            [c1.yprime_at_one, c2.yprime_at_one + _sign(xi)],
         ]
     )
+    return geo, (c1, c2), m
 
 
 def delta(p: Measure, q: Measure, lam, xi, cfg: SolverConfig | None = None,
@@ -109,13 +134,12 @@ def delta(p: Measure, q: Measure, lam, xi, cfg: SolverConfig | None = None,
     ws = _workspace_for(p, q, workspace)
     m = boundary_matrix(p, q, lam, xi, cfg, ws)
     d_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    sign = (-1.0) ** xi
     y1_here = m[0, 0]
     if lam.imag == 0.0:
         y1_mirror = y1_here
     else:
         y1_mirror = solve_value(p, q, lam.conjugate(), _E1, cfg, ws)
-    d_one = y1_mirror.conjugate() + sign * y1_here
+    d_one = _one_solve(y1_here, y1_mirror, xi)
     gap = abs(d_det - d_one)
     if gap > _ROUTE_TOL * max(1.0, abs(d_det), abs(d_one)):
         raise ConjugateMismatchError(

@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .charfn import real_split
-from .errors import BadArgumentError, MeasureParseError, StieltjesSpecError
+from .charfn import _one_solve, _real_lambda, real_split
+from .errors import BadArgumentError, MeasureParseError, StieltjesSpecError, _positive
 from .ivp import InitialTriple, SolverConfig, Workspace, cube_root, solve_picard
 from .lab import (
     asymptotic_residuals,
@@ -38,7 +38,7 @@ from .lab import (
 )
 from .measure import Measure, oscillation_sequence, ramp_sequence
 from .sens import fd_check
-from .spectrum import _BISECT_TOL, _check_c_pi, find_eigenvalue, spectrum_scan
+from .spectrum import _BISECT_TOL, find_eigenvalue, spectrum_scan
 
 _TOOL = "stieltjes-spec"
 
@@ -258,10 +258,7 @@ def cmd_charfn(args) -> int:
             raise BadArgumentError("lambda range needs lo < hi")
         lams = np.linspace(lo, hi, args.grid)
     else:
-        z = _parse_complex(args.lam)
-        if z.imag != 0.0:
-            raise BadArgumentError("charfn tabulates real lambda only")
-        lams = np.array([z.real])
+        lams = np.array([_real_lambda(_parse_complex(args.lam), "charfn")])
     sha = _config_sha({
         "command": "charfn", "p": p.to_json(), "q": q.to_json(),
         "bc": args.bc, "lambda": args.lam, "grid": args.grid,
@@ -272,7 +269,8 @@ def cmd_charfn(args) -> int:
     for lam in lams:
         lam = float(lam)
         split = real_split(p, q, lam, cfg, ws)
-        delta = -2j * split.Z1 if args.bc == 1 else complex(2.0 * split.Y1)
+        y1 = complex(split.Y1, split.Z1)
+        delta = _one_solve(y1, y1, args.bc)
         rows.append((lam, cube_root(lam), delta.real, delta.imag,
                      split.Y1, split.Z1))
     _emit(args, "charfn-v1", sha, {"solver_tol": args.tol},
@@ -286,7 +284,7 @@ def cmd_eig(args) -> int:
     q = parse_measure(args.q)
     if args.n_min > args.n_max:
         raise BadArgumentError("need --n-min <= --n-max")
-    _check_c_pi(args.c_pi)
+    _positive(args.c_pi, "c_pi")
     cfg = SolverConfig(tol=args.tol)
     sha = _config_sha({
         "command": "eig", "p": p.to_json(), "q": q.to_json(), "bc": args.bc,

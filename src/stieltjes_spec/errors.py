@@ -1,11 +1,17 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the number rules for arguments.
 
 Every error carries a short machine-readable ``code`` and an ``exit_code``
 used by the command line front end: 2 for bad input, 3 for numerical
 failures, 4 for internal consistency violations.
+
+The number rules _integer, _positive and _finite check every integer and
+real argument; a bool, a string or None is refused, never coerced.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class StieltjesSpecError(Exception):
@@ -75,12 +81,6 @@ class QuadratureError(NumericalError):
     code = "QUADRATURE"
 
 
-class DegeneracyError(NumericalError):
-    """Characteristic roots too close to classify but too far to merge."""
-
-    code = "ROOT_DEGENERACY"
-
-
 class MeshRefinementError(NumericalError):
     code = "MESH_REFINEMENT"
 
@@ -128,3 +128,29 @@ class SpectrumConsistencyError(InternalCheckError):
     """Root count from scanning disagrees with the contour count."""
 
     code = "SPECTRUM_COUNT"
+
+
+# ---------------------------------------------------------------------------
+# number rules
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value, what: str, error: type[InputError] = BadArgumentError) -> int:
+    if not (_is_real(value) and math.isfinite(value) and value == int(value)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value, what: str) -> float:
+    if not (_is_real(value) and 0.0 < value < math.inf):  # refuses NaN too
+        raise BadArgumentError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _finite(value, what: str) -> float:
+    if not (_is_real(value) and math.isfinite(value)):
+        raise BadArgumentError(f"{what} must be finite, got {value!r}")
+    return float(value)

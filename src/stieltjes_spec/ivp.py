@@ -15,14 +15,18 @@ the same lambda).  The series stops once a rigorous bound on its remainder,
 computed from the last measured term and the Volterra estimate of the
 measure norms, falls below the tolerance (see _Engine.iterate).
 solve_transfer propagates constant-coefficient segments for purely atomic
-coefficients and is exact up to roundoff.
+coefficients and is exact up to roundoff at every lambda, repeated
+characteristic roots included.
+
+This module owns the solves and what each needs: the lambda check, the
+default SolverConfig, the mesh and the atoms of (p, q) in (0, 1].  The
+boundary pairing lives in charfn, root location in spectrum.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -32,11 +36,12 @@ import numpy as np
 from .errors import (
     BadArgumentError,
     ConvergenceError,
-    DegeneracyError,
     DeterminantError,
     MeshRefinementError,
     NumericalError,
     UnsupportedMeasureError,
+    _integer,
+    _positive,
 )
 from .measure import Measure
 
@@ -253,15 +258,11 @@ class SolverConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        size = self.mesh_size
-        if (isinstance(size, bool) or not isinstance(size, numbers.Real)
-                or not math.isfinite(size) or size != int(size)):
-            raise BadArgumentError(f"mesh_size must be an integer, got {size!r}")
+        size = _integer(self.mesh_size, "mesh_size")
         if size < 1:
             raise BadArgumentError("mesh_size must be positive")
-        object.__setattr__(self, "mesh_size", int(size))
-        if not 0.0 < self.tol < math.inf:
-            raise BadArgumentError("tolerance must be positive and finite")
+        object.__setattr__(self, "mesh_size", size)
+        object.__setattr__(self, "tol", _positive(self.tol, "tolerance"))
 
 
 @dataclass(frozen=True)
@@ -302,6 +303,12 @@ def _gauss_cells(cuts: np.ndarray):
     centers = 0.5 * (cuts[:-1] + cuts[1:])
     return (h, centers, centers[:, None] + 0.5 * h[:, None] * _G6_NODES,
             0.5 * h[:, None] * _G6_WEIGHTS)
+
+
+def _interior_atoms(p: Measure, q: Measure) -> list[tuple[float, complex]]:
+    """(x, dq + i dp) for each atom of p or q in (0, 1], by increasing x."""
+    return [(x_a, q.atom_weight(x_a) + 1j * p.atom_weight(x_a))
+            for x_a in sorted({a.x for a in p.atoms + q.atoms if a.x > 0})]
 
 
 def _edge_index(edges: np.ndarray, x: float, what: str) -> int:
@@ -355,12 +362,9 @@ class _Geometry:
         self.w_rho = self.w_plain * (
             q.density_many(flat) + 1j * p.density_many(flat)
         ).reshape(self.tau.shape)
-        # atoms strictly inside (0, 1]; each must sit on a mesh edge
-        self.atoms = []
-        for x_a in sorted({a.x for a in p.atoms + q.atoms if a.x > 0}):
-            dq, dp = q.atom_weight(x_a), p.atom_weight(x_a)
-            self.atoms.append((_edge_index(edges, x_a, "atom"), x_a,
-                               dq + 1j * dp, dq - 1j * dp))
+        # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
+        self.atoms = [(_edge_index(edges, x_a, "atom"), x_a, d_mu)
+                      for x_a, d_mu in _interior_atoms(p, q)]
 
     @cached_property
     def budget_logs(self) -> np.ndarray:
@@ -379,7 +383,7 @@ class _Geometry:
         part = np.sum(self.w_rho, axis=1)
         jumps = np.zeros(self.n + 1)
         q_mass = float(np.sum(np.abs(cell.real)))
-        for idx, _, d_mu, _ in self.atoms:
+        for idx, _, d_mu in self.atoms:
             jumps[idx] += abs(d_mu.real) + abs(d_mu.imag)
             q_mass += abs(d_mu.real)
         upto = np.cumsum(jumps)
@@ -653,7 +657,7 @@ class _Engine:
         cell = np.sum(self.cell_w * vals, axis=1)
         chan = np.zeros((3, geo.n + 1), dtype=complex)
         np.cumsum(cell, axis=1, out=chan[:, 1:])
-        for pos, (idx, _, d_mu, _) in enumerate(geo.atoms):
+        for pos, (idx, _, d_mu) in enumerate(geo.atoms):
             contrib = self.atom_phase[:, pos] * (d_mu * edge_vals[idx])
             chan[:, idx:] += contrib[:, None]
         chan *= self.u_edge
@@ -785,9 +789,9 @@ class _Engine:
             geo.prefix(y_node, geo.gw, geo.m_p0),
             geo.prefix(y_node, geo.gw * geo.tg, geo.m_p1),
             geo.prefix(y_node, gw_rho, geo.m_rho0,
-                       [(i, d_mu * y_edge[i]) for i, _, d_mu, _ in geo.atoms]),
+                       [(i, d_mu * y_edge[i]) for i, _, d_mu in geo.atoms]),
             geo.prefix(y_node, gw_rho * geo.tg, geo.m_rho1,
-                       [(i, d_mu * y_edge[i] * x_a) for i, x_a, d_mu, _ in geo.atoms]),
+                       [(i, d_mu * y_edge[i] * x_a) for i, x_a, d_mu in geo.atoms]),
         )
         out = []
         # the same identities at the nodes, then at the edges
@@ -826,8 +830,8 @@ class SolutionPath:
         self.y, self.yprime, self.w_post = edge
         deltas: dict[int, complex] = {}
         locs: dict[int, float] = {}
-        for idx, x_a, _, d_conj in geo.atoms:
-            deltas[idx] = deltas.get(idx, 0.0) - self.y[idx] * d_conj
+        for idx, x_a, d_mu in geo.atoms:
+            deltas[idx] = deltas.get(idx, 0.0) - self.y[idx] * d_mu.conjugate()
             locs[idx] = x_a
         for idx, x_a, delta in extra_jumps:
             deltas[idx] = deltas.get(idx, 0.0) + delta
@@ -1028,7 +1032,14 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
 
 
 def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
-    """exp(s A) for A = [[0,1,0],[0,0,1],[-i lam, -2 q_c, 0]]."""
+    """exp(s A) for A = [[0,1,0],[0,0,1],[-i lam, -2 q_c, 0]].
+
+    Separated characteristic roots take the Lagrange-Sylvester sum, crowded
+    ones (repeated included) scaling and squaring, which does not break down
+    as roots merge (Moler and Van Loan, SIAM Review 45, 2003), on
+    D^-1 A D with D = diag(1, rho, rho^2): its entries are of the root scale
+    rho, so it needs fewer squarings than A, whose largest entry is |lam|.
+    """
     A = np.array([[0, 1, 0], [0, 0, 1], [-1j * lam, -2.0 * q_c, 0]], dtype=complex)
     roots = np.roots([1.0, 0.0, 2.0 * q_c, 1j * lam])
     for _ in range(3):  # Newton polish of np.roots output
@@ -1037,40 +1048,20 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
         safe = np.abs(fp) > 1e-30
         roots[safe] = roots[safe] - f[safe] / fp[safe]
     scale = max(1.0, float(np.max(np.abs(roots))))
-    dists = [abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
-             abs(roots[1] - roots[2])]
-    dmin, dmax = min(dists), max(dists)
+    dmin = min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
+               abs(roots[1] - roots[2]))
+    if dmin < _CROWDED * scale:
+        d = np.array([1.0, scale, scale * scale])
+        return _expm_taylor(s * (A * d / d[:, None])) * (d[:, None] / d)
     eye = np.eye(3, dtype=complex)
-    if dmin >= _CROWDED * scale:
-        out = np.zeros((3, 3), dtype=complex)
-        for j in range(3):
-            term = eye * cmath.exp(roots[j] * s)
-            for l in range(3):
-                if l != j:
-                    term = term @ (A - roots[l] * eye) / (roots[j] - roots[l])
-            out += term
-        return out
-    if dmin >= 1e-6 * scale:
-        return _expm_taylor(s * A)
-    if dmin >= 1e-12 * scale:
-        raise DegeneracyError(
-            "characteristic roots too close to classify",
-            separation=dmin / scale,
-        )
-    if dmax < 1e-12 * scale:  # triple root
-        r = roots.mean()
-        B = A - r * eye
-        return cmath.exp(r * s) * (eye + s * B + 0.5 * s * s * (B @ B))
-    # double root: average the repeated pair, keep the separate one exact
-    pair = min(((d, i) for i, d in enumerate(dists)))[1]
-    order = [(0, 1, 2), (0, 2, 1), (1, 2, 0)][pair]
-    r = 0.5 * (roots[order[0]] + roots[order[1]])
-    r3 = roots[order[2]]
-    f_r = cmath.exp(r * s)
-    fp_r = s * f_r
-    c2 = (cmath.exp(r3 * s) - f_r - fp_r * (r3 - r)) / ((r3 - r) ** 2)
-    B = A - r * eye
-    return f_r * eye + fp_r * B + c2 * (B @ B)
+    out = np.zeros((3, 3), dtype=complex)
+    for j in range(3):
+        term = eye * cmath.exp(roots[j] * s)
+        for l in range(3):
+            if l != j:
+                term = term @ (A - roots[l] * eye) / (roots[j] - roots[l])
+        out += term
+    return out
 
 
 def _expm_taylor(m: np.ndarray) -> np.ndarray:
@@ -1105,17 +1096,15 @@ class TransferPath(SolutionPath):
         self.init = init
         self.n_terms = 0
         self._q = q
-        atom_xs = sorted(
-            {a.x for a in p.atoms if a.x > 0} | {a.x for a in q.atoms if a.x > 0}
-        )
+        atoms = _interior_atoms(p, q)
+        atom_xs = [x_a for x_a, _ in atoms]
         self._starts = np.array([0.0] + atom_xs)
         self._states = []
         state = init.as_vector()
         for i, start in enumerate(self._starts):
             if i > 0:
-                d_conj = q.atom_weight(start) - 1j * p.atom_weight(start)
                 state = state.copy()
-                state[2] -= state[0] * d_conj
+                state[2] -= state[0] * atoms[i - 1][1].conjugate()
             self._states.append(state)
             end = self._starts[i + 1] if i + 1 < len(self._starts) else 1.0
             if end > start:

@@ -31,7 +31,7 @@ from .ivp import (
 )
 from .measure import Measure, lebesgue_integral_of_induced
 from .sens import _check_channel
-from .spectrum import _check_index, find_eigenvalue
+from .spectrum import _check_index, _lattice_center, find_eigenvalue
 
 # continuity sups are taken over this many uniform points plus every
 # measure breakpoint
@@ -305,7 +305,7 @@ def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
     lams, leading, residuals = [], [], []
     for n in ns:
         pair = find_eigenvalue(p, q, xi, n, cfg)
-        base = (2 * n + xi - 1) * math.pi
+        base = _lattice_center(xi, n)
         lead = base ** 3 - 2.0 * base * iq
         lams.append(pair.lam)
         leading.append(lead)

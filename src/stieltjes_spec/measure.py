@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MeasureFormatError, MeasureParseError, QuadratureError
+from .errors import MeasureFormatError, MeasureParseError, QuadratureError, _integer
 
 _ROOT_IMAG_TOL = 1e-9
 _DEDUPE_TOL = 1e-14
@@ -381,10 +381,10 @@ def oscillation_sequence(m: int) -> Measure:
     Its variation approaches the exact value 4 m to relative accuracy well
     under 1e-6.
     """
-    if not float(m).is_integer() or m < 1:
+    m = _integer(m, "oscillation index m", MeasureFormatError)
+    if m < 1:
         raise MeasureFormatError(
             f"oscillation index m must be a positive integer, got {m!r}")
-    m = int(m)
     freq = 2.0 * math.pi * m * m
     amp = 2.0 * math.pi * m  # density amplitude of the induced function
     n_cells = m * m * _NODES_PER_PERIOD

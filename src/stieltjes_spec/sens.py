@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadArgumentError, UnsupportedMultiplicityError
+from .errors import BadArgumentError, UnsupportedMultiplicityError, _positive
 from .ivp import (
     FundamentalPath,
     SolverConfig,
@@ -83,11 +83,9 @@ def _check_channel(channel):
 
 def _check_steps(steps) -> list[float]:
     """The finite difference steps as floats, at least one, each positive."""
-    steps = [float(eps) for eps in steps]
+    steps = [_positive(eps, "finite difference steps") for eps in steps]
     if not steps:
         raise BadArgumentError("need at least one finite difference step")
-    if not all(0.0 < eps < np.inf for eps in steps):  # refuses NaN too
-        raise BadArgumentError("finite difference steps must be positive and finite")
     return steps
 
 

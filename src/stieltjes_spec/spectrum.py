@@ -19,6 +19,10 @@ root of the same contour values predicts its root: two unverified solves
 confirm a sign change, Brent bracketing refines any wider bracket to width
 _BISECT_TOL (1e-12), and the eigenpair is packaged from verified solves.
 Roots of a perturbed problem are tracked from the base root by secant steps.
+
+This module owns the lattice, counting and root location.  It makes its
+own solve_value calls and hands the values to charfn, the home of the
+boundary pairing, for Delta and the real characteristic.
 """
 
 from __future__ import annotations
@@ -29,20 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _E1, _E2, _check_xi, _mirror_residue, _pairing_matrix
+from .charfn import (_E1, _check_xi, _mirror_residue, _one_solve, _pairing_solve,
+                     _real_characteristic, _real_lambda)
 from .errors import (
     BadArgumentError,
     ContourResolutionError,
     RootSearchError,
     SpectrumConsistencyError,
     ThresholdRangeError,
+    _finite,
+    _integer,
+    _positive,
 )
 from .ivp import (
     InitialTriple,
     SolutionPath,
     SolverConfig,
     Workspace,
-    _solve_columns,
     _workspace_for,
     solve_value,
 )
@@ -96,16 +103,10 @@ class Eigenpair:
         return self.g_mult == 1
 
 
-def _check_c_pi(c_pi) -> float:
-    if not 0.0 < float(c_pi) < math.inf:
-        raise BadArgumentError(f"c_pi must be positive and finite, got {c_pi!r}")
-    return float(c_pi)
-
-
 def counting_threshold(p: Measure, q: Measure, xi, c_pi: float = 1e4) -> int:
     """Smallest tail index N certified by the growth bound with constant c_pi."""
     xi = _check_xi(xi)
-    c = _check_c_pi(c_pi)
+    c = _positive(c_pi, "c_pi")
     expo = 3.0 * (3.0 * q.total_variation() + p.total_variation())
     if expo > 690.0:
         raise ThresholdRangeError(
@@ -128,15 +129,18 @@ def counting_threshold(p: Measure, q: Measure, xi, c_pi: float = 1e4) -> int:
 
 
 def _check_index(n) -> int:
-    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
-        raise BadArgumentError(f"eigenvalue index must be an integer, got {n!r}")
-    return int(n)
+    return _integer(n, "eigenvalue index")
+
+
+def _lattice_center(xi, n) -> float:
+    """(2n + xi - 1) pi: the lattice point the n-th root approaches."""
+    xi = _check_xi(xi)
+    return (2 * _check_index(n) + xi - 1) * math.pi
 
 
 def localize(xi, n) -> tuple[float, float]:
     """The k-window (center - pi/3, center + pi/3) for the n-th root."""
-    xi = _check_xi(xi)
-    center = (2 * _check_index(n) + xi - 1) * math.pi
+    center = _lattice_center(xi, n)
     return center - math.pi / 3.0, center + math.pi / 3.0
 
 
@@ -145,16 +149,11 @@ def localize(xi, n) -> tuple[float, float]:
 
 
 def _delta_values(p, q, xi, lams, cfg, ws):
-    """Delta_xi at a conjugate-closed list of lambdas, one solve per point."""
-    sign = (-1.0) ** xi
-    m = len(lams)
-    vals = np.empty(m, dtype=complex)
-    for i in range(m):
-        vals[i] = solve_value(p, q, complex(lams[i]), _E1, cfg, ws, verify=False)
-    out = np.empty(m, dtype=complex)
-    for i in range(m):
-        out[i] = vals[(m - i) % m].conjugate() + sign * vals[i]
-    return out
+    """Delta_xi at a conjugate-closed list of lambdas, one solve per point:
+    point i mirrors point (m - i) mod m."""
+    y1 = np.array([solve_value(p, q, complex(lam), _E1, cfg, ws, verify=False)
+                   for lam in lams])
+    return _one_solve(y1, y1[-np.arange(len(y1)) % len(y1)], xi)
 
 
 def _winding(p, q, xi, center, radius, cfg, ws):
@@ -210,12 +209,8 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     must exclude the origin.
     """
     xi = _check_xi(xi)
-    center = float(center)
-    radius = float(radius)
-    if not math.isfinite(center):
-        raise BadArgumentError(f"disc center must be finite, got {center}")
-    if not 0.0 < radius < math.inf:
-        raise BadArgumentError("disc radius must be positive and finite")
+    center = _finite(center, "disc center")
+    radius = _positive(radius, "disc radius")
     ws = _workspace_for(p, q, workspace)
     if center != 0.0 and abs(center) <= radius:
         raise BadArgumentError("offset disc must exclude the origin")
@@ -243,9 +238,8 @@ def _root_fn(p, q, xi, cfg, ws):
     Unverified solves: roots located here are always re-solved with full
     verification when they are packaged into an Eigenpair.
     """
-    if xi == 1:
-        return lambda k: solve_value(p, q, k**3, _E1, cfg, ws, verify=False).imag
-    return lambda k: solve_value(p, q, k**3, _E1, cfg, ws, verify=False).real
+    return lambda k: _real_characteristic(
+        solve_value(p, q, k**3, _E1, cfg, ws, verify=False), xi)
 
 
 def _sign_changes(vals) -> list[int]:
@@ -403,10 +397,9 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
     """Package the eigenpair at an already-located real eigenvalue."""
     xi = _check_xi(xi)
-    lam = float(lam)
+    lam = _real_lambda(lam, "eigenfunction")
     ws = _workspace_for(p, q, workspace)
-    geo, cols = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
-    m = _pairing_matrix(cols, xi)
+    geo, cols, m = _pairing_solve(ws, lam, xi, cfg)
     sv = np.linalg.svd(m, compute_uv=False)
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
@@ -461,20 +454,20 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
 
     The window's winding count is the certificate: any count but one raises.
     Non-real roots come in conjugate pairs, so one root in a disc centred on
-    the real axis is real.  At the window ends the contour values are -2i f
-    (xi = 1) or 2 f (xi = 2), f the real characteristic, so the end signs
+    the real axis is real.  The window ends are real contour points, where
+    conj(Delta) / 2 has the real characteristic f of y1, so the end signs
     cost no solve.  The central disc predicts lambda, the others k.
     """
     xi = _check_xi(xi)
     ws = _workspace_for(p, q, workspace)
     window = localize(xi, n)
-    center = 0.5 * (window[0] + window[1])
+    center = _lattice_center(xi, n)
     count, r, vals = _winding(p, q, xi, center, math.pi / 3.0, cfg, ws)
     if count != 1:
         raise RootSearchError("lattice window does not hold exactly one root",
                               xi=xi, n=n, window=window, count=count)
-    ends = vals[[len(vals) // 2, 0]]
-    f_lo, f_hi = (0.5 * (-ends.imag if xi == 1 else ends.real)).tolist()
+    ends = 0.5 * vals[[len(vals) // 2, 0]].conjugate()
+    f_lo, f_hi = _real_characteristic(ends, xi).tolist()
     if (f_lo < 0) == (f_hi < 0):
         raise RootSearchError("window ends do not bracket the counted root",
                               xi=xi, n=n, window=window)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stieltjes_spec.errors import (
     BadArgumentError,
     ConvergenceError,
-    DegeneracyError,
     MeshRefinementError,
     NumericalError,
     UnsupportedMeasureError,
@@ -389,12 +388,43 @@ def test_transfer_rejects_density_measures():
         solve_transfer(Measure.zero(), q, 1.0, InitialTriple(1, 0, 0))
 
 
-def test_degenerate_characteristic_roots_refused():
+def test_transfer_at_a_double_characteristic_root_matches_picard():
     # q steps to -3, and lambda sits at the double root of r^3 - 6r + i*lam
     q = Measure.point(0.2, -3.0)
     lam = complex(0.0, -math.sqrt(32.0))
-    with pytest.raises(DegeneracyError):
-        solve_transfer(Measure.zero(), q, lam, InitialTriple(1, 0, 0))
+    for init in ivp._CANONICAL:
+        got = solve_transfer(Measure.zero(), q, lam, init)
+        ref = solve_picard(Measure.zero(), q, lam, init)
+        for a, b in ((got.y_at_one, ref.y_at_one),
+                     (got.yprime_at_one, ref.yprime_at_one),
+                     (got.w_at_one, ref.w_at_one)):
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def test_propagator_matches_mpmath_at_crowded_roots():
+    # r^3 + 2 q_c r + i lam has the double root r0 = +-sqrt(-2 q_c / 3) at
+    # lam_d = i (r0^3 + 2 q_c r0); lam_d + 3i r0 eps^2 splits it into about
+    # r0 +- eps, so each gap below is a root gap relative to |r0|
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(14)
+    cases = [(0.0, 0.0, 0.05), (0.0, 0.0, 1.0)]  # the triple root at 0
+    for _ in range(10):
+        size = 10.0 ** rng.uniform(-1.0, 2.0)  # |q_c| from 0.1 to 100
+        for q_c in (size, -size):
+            r0 = cmath.sqrt(-2.0 * q_c / 3.0) * rng.choice((-1.0, 1.0))
+            lam_d = 1j * (r0**3 + 2.0 * q_c * r0)
+            for gap in (0.0, 10.0 ** rng.uniform(-13.0, -7.0),
+                        10.0 ** rng.uniform(-7.0, -2.0)):
+                eps = 0.5 * gap * abs(r0) * cmath.exp(2j * math.pi * rng.uniform())
+                cases.append((q_c, lam_d + 3j * r0 * eps * eps, rng.uniform(0.05, 1.0)))
+    for q_c, lam, s in cases:
+        got = ivp._propagator(q_c, lam, s)
+        with mpmath.workdps(35):
+            a = mpmath.matrix([[0, 1, 0], [0, 0, 1],
+                               [-1j * mpmath.mpc(lam), -2 * mpmath.mpf(q_c), 0]])
+            e = mpmath.expm(a * mpmath.mpf(s))
+            want = np.array([[complex(e[i, j]) for j in range(3)] for i in range(3)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_propagator_matches_taylor_series():
@@ -550,10 +580,7 @@ def atomic_problems(draw):
 @given(atomic_problems())
 def test_array_evaluation_matches_scalar_and_oracle(problem):
     p, q, lam, init, points = problem
-    try:
-        oracle = solve_transfer(p, q, lam, init)
-    except DegeneracyError:
-        reject()
+    oracle = solve_transfer(p, q, lam, init)
     path = solve_picard(p, q, lam, init)
     # mesh edges, atoms and the Gauss nodes of one cell join the random points
     lo, hi = path.nodes[3], path.nodes[4]
@@ -636,7 +663,7 @@ def _reference_term(geo, lam_eff, vals, edge_vals):
         node = edge[:, :-1, None] + np.einsum("jiba,ia->jib", m, vals)
         channels.append((node, edge))
     (node_rho, edge_rho), (node_q, edge_q) = channels
-    for idx, x_a, d_mu, _ in geo.atoms:
+    for idx, x_a, d_mu in geo.atoms:
         contrib = np.exp(-iok * x_a) * (d_mu * edge_vals[idx])
         node_rho[:, idx:, :] += contrib[:, None, None]
         edge_rho[:, idx:] += contrib[:, None]

@@ -3,17 +3,19 @@
 A non-finite lambda is refused by one check in ivp, whichever entry point
 it arrives through, and a missing config resolves to SolverConfig() in the
 solver, so a driver that passes cfg on gives the same bits for None as for
-the default.
+the default.  Integer and real arguments pass one number rule each, which
+refuses bools, strings and None.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stieltjes_spec.charfn import boundary_matrix, delta, real_split
-from stieltjes_spec.errors import BadArgumentError
+from stieltjes_spec.errors import BadArgumentError, MeasureFormatError
 from stieltjes_spec.ivp import (
     FundamentalPath,
     InitialTriple,
@@ -26,9 +28,15 @@ from stieltjes_spec.ivp import (
     solve_value,
 )
 from stieltjes_spec.lab import bound_audit, solution_continuity
-from stieltjes_spec.measure import Measure
-from stieltjes_spec.sens import fundamental_fd_check, fundamental_gradient_q
-from stieltjes_spec.spectrum import eigenfunction
+from stieltjes_spec.measure import Measure, oscillation_sequence
+from stieltjes_spec.sens import fd_check, fundamental_fd_check, fundamental_gradient_q
+from stieltjes_spec.spectrum import (
+    count_zeros_disc,
+    counting_threshold,
+    eigenfunction,
+    find_eigenvalue,
+    localize,
+)
 
 P = Measure.point(0.4, 0.3)
 Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
@@ -118,3 +126,58 @@ def test_workspace_keeps_breakpoints_inside_the_unit_interval():
     assert ws.extra == (0.0, 0.25, 1.0)
     edges = ws.geometry(0.0, 256, 0).edges
     assert edges[0] == 0.0 and edges[-1] == 1.0 and 0.25 in edges
+
+
+Z = Measure.zero()
+
+REFUSED = {
+    "index string": (lambda: find_eigenvalue(Z, Z, 1, "abc"), "integer"),
+    "index bool": (lambda: find_eigenvalue(Z, Z, 1, True), "integer"),
+    "xi bool": (lambda: find_eigenvalue(Z, Z, True, 1), "integer"),
+    "xi string": (lambda: localize("1", 0), "integer"),
+    "c_pi string": (lambda: counting_threshold(Z, Z, 1, c_pi="abc"),
+                    "positive and finite"),
+    "c_pi None": (lambda: counting_threshold(Z, Z, 1, c_pi=None),
+                  "positive and finite"),
+    "tol None": (lambda: SolverConfig(tol=None), "positive and finite"),
+    "tol string": (lambda: SolverConfig(tol="1e-9"), "positive and finite"),
+    "tol bool": (lambda: SolverConfig(tol=True), "positive and finite"),
+    "radius string": (lambda: count_zeros_disc(Z, Z, 1, 0.0, "1"),
+                      "positive and finite"),
+    "center None": (lambda: count_zeros_disc(Z, Z, 1, None, 1.0), "finite"),
+    "center string": (lambda: count_zeros_disc(Z, Z, 1, "12", 1.0), "finite"),
+    "step string": (lambda: fundamental_fd_check(P, Q, 64.0, NU, epsilon="1e-4"),
+                    "positive and finite"),
+    "steps with a string": (lambda: fd_check(Z, Z, 1, 1, NU, epsilons=[1e-3, "1e-4"]),
+                            "positive and finite"),
+    "oscillation string": (lambda: oscillation_sequence("3"), "integer"),
+    "oscillation bool": (lambda: oscillation_sequence(True), "integer"),
+    "eigenfunction non-real": (lambda: eigenfunction(Z, Z, 1, 64.0 + 1.0j),
+                               "real spectral parameter"),
+    "eigenfunction complex NaN": (
+        lambda: eigenfunction(Z, Z, 1, complex(math.nan, math.nan)),
+        "lambda must be finite"),
+    "eigenfunction infinite imaginary part": (
+        lambda: eigenfunction(Z, Z, 1, complex(0.0, math.inf)),
+        "lambda must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_non_numbers_and_non_real_eigenvalues_are_refused(name):
+    call, message = REFUSED[name]
+    error = MeasureFormatError if name.startswith("oscillation") else BadArgumentError
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_eigenfunction_takes_a_complex_lambda_with_zero_imaginary_part():
+    lam = (2.0 * math.pi) ** 3  # zero pair, xi = 1, n = 1
+    want = eigenfunction(Z, Z, 1, lam, n=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning included
+        for arg in (complex(lam), np.complex128(lam)):
+            got = eigenfunction(Z, Z, 1, arg, n=1)
+            assert type(got.lam) is float
+            assert dataclasses.replace(got, E=None) == dataclasses.replace(want, E=None)
+            assert np.array_equal(got.E.edge, want.E.edge)

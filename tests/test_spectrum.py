@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stieltjes_spec import spectrum
-from stieltjes_spec.charfn import real_split
+from stieltjes_spec.charfn import _ROUTE_TOL, delta, real_split
 from stieltjes_spec.errors import (
     BadArgumentError,
     RootSearchError,
@@ -239,6 +239,19 @@ def test_config_validation():
 TOL = spectrum._BISECT_TOL
 ROADMAP_P = Measure.point(0.4, 0.3)
 ROADMAP_Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+
+
+def test_contour_values_are_the_characteristic_of_delta():
+    # the contour pairs each unverified y1 with its mirror's; delta pairs
+    # verified solves by the determinant and by the one-solve route
+    a, b = -300.0 + 40.0j, 5.0 + 200.0j
+    lams = np.array([64.0, a, b, -300.0, b.conjugate(), a.conjugate()])
+    ws = Workspace(ROADMAP_P, ROADMAP_Q)
+    for xi in (1, 2):
+        vals = spectrum._delta_values(ROADMAP_P, ROADMAP_Q, xi, lams, None, ws)
+        for lam, got in zip(lams, vals):
+            want = delta(ROADMAP_P, ROADMAP_Q, lam, xi, workspace=ws)
+            assert abs(got - want) <= _ROUTE_TOL * max(1.0, abs(want))
 
 
 def _xi1_zero_char(k):
