@@ -32,6 +32,7 @@ from .ivp import (
     SolverConfig,
     Workspace,
     _finite_lambda,
+    _mirror_value,
     _solve_columns,
     _workspace_for,
     solve_value,
@@ -93,16 +94,16 @@ def real_split(p: Measure, q: Measure, lam, cfg: SolverConfig | None = None,
     lam = _real_lambda(lam, "real_split")
     ws = _workspace_for(p, q, workspace)
     v1 = solve_value(p, q, lam, _E1, cfg, ws)
-    residue = _mirror_residue(p, q, lam, v1, cfg)
+    residue = _mirror_residue(ws, lam, v1, cfg)
     return RealSplit(Y1=v1.real, Z1=v1.imag, residue=residue)
 
 
-def _mirror_residue(p: Measure, q: Measure, lam_r: float, v1: complex,
-                    cfg: SolverConfig) -> float:
+def _mirror_residue(ws: Workspace, lam_r: float, v1: complex,
+                    cfg: SolverConfig | None) -> float:
     """RealSplit.residue of a verified v1 = y1(1, lam_r): one mirror solve."""
     # conjugating the equation flips the signs of p and lambda; evaluating
     # there exercises the other root branch, giving an independent value
-    v2 = solve_value(p.scaled(-1.0), q, -lam_r, _E1, cfg)
+    v2 = _mirror_value(ws, lam_r, _E1, cfg)
     return abs(v1 - v2.conjugate()) / max(1.0, abs(v1))
 
 

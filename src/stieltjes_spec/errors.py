@@ -5,7 +5,8 @@ used by the command line front end: 2 for bad input, 3 for numerical
 failures, 4 for internal consistency violations.
 
 The number rules _integer, _positive and _finite check every integer and
-real argument; a bool, a string or None is refused, never coerced.
+real argument; a bool, a string or None is refused, never coerced, and so
+is an int beyond the float range.
 """
 
 from __future__ import annotations
@@ -138,19 +139,37 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """A real, not a bool, whose float value is finite."""
+    if not _is_real(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int (or fraction) beyond the float range
+        return False
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal, which str() refuses for huge ints."""
+    try:
+        return repr(value)
+    except ValueError:  # an int beyond the digit limit of str()
+        return "a number too long to print"
+
+
 def _integer(value, what: str, error: type[InputError] = BadArgumentError) -> int:
-    if not (_is_real(value) and math.isfinite(value) and value == int(value)):
-        raise error(f"{what} must be an integer, got {value!r}")
+    if not (_is_finite_real(value) and value == int(value)):
+        raise error(f"{what} must be an integer, got {_shown(value)}")
     return int(value)
 
 
 def _positive(value, what: str) -> float:
-    if not (_is_real(value) and 0.0 < value < math.inf):  # refuses NaN too
-        raise BadArgumentError(f"{what} must be positive and finite, got {value!r}")
+    if not (_is_finite_real(value) and value > 0.0):
+        raise BadArgumentError(f"{what} must be positive and finite, got {_shown(value)}")
     return float(value)
 
 
 def _finite(value, what: str) -> float:
-    if not (_is_real(value) and math.isfinite(value)):
-        raise BadArgumentError(f"{what} must be finite, got {value!r}")
+    if not _is_finite_real(value):
+        raise BadArgumentError(f"{what} must be finite, got {_shown(value)}")
     return float(value)

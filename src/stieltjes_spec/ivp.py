@@ -394,7 +394,8 @@ class _Geometry:
         lo *= 3.0
         logs = np.full(lo.shape, _NO_ENVELOPE)
         pos = lo > 0.0
-        logs[pos] = np.maximum(math.log(self.picard_budget) - np.log(lo[pos]), 0.0)
+        # V = 0 only without mass, where pos is empty: _log(0) does not raise
+        logs[pos] = np.maximum(_log(self.picard_budget) - np.log(lo[pos]), 0.0)
         return logs
 
     # lambda-free partial tensors for the moment recovery kernels, (6, 6, n)
@@ -425,6 +426,25 @@ class _Geometry:
         new_edges[0::2] = self.edges
         new_edges[1::2] = mids
         return _Geometry(self.p, self.q, new_edges, self.picard_budget)
+
+    def conjugated(self) -> "_Geometry":
+        """The geometry of (-p, q) on the same edges, bit for bit.
+
+        A density of p.scaled(-1.0) is the exact negation of p's, so the
+        view conjugates rho_g, gw_rho, w_rho and the atom weights and shares
+        every other array, budget_logs included.  It is built per solve and
+        cached nowhere; the rho moment tensors are left to be rebuilt.
+        """
+        view = object.__new__(_Geometry)
+        view.__dict__.update(self.__dict__)
+        view.p = self.p.scaled(-1.0)
+        view.rho_g = self.rho_g.conjugate()
+        view.gw_rho = self.gw_rho.conjugate()
+        view.w_rho = self.w_rho.conjugate()
+        view.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in self.atoms]
+        view.__dict__.pop("m_rho0", None)
+        view.__dict__.pop("m_rho1", None)
+        return view
 
     def prefix(self, vals, weights, moments, jumps=()):
         """Integrals of f against one measure from 0 to every node and edge.
@@ -937,16 +957,22 @@ def _n_uniform(cfg: SolverConfig, k: complex) -> int:
 
 
 def _iterate_on_level(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
-                      level: int):
-    """Run the engine once per initial triple on the given refinement level."""
+                      level: int, mirror: bool = False):
+    """Run the engine once per initial triple on the given refinement level.
+
+    mirror solves (-p, q) on the conjugated view of ws's geometry.
+    """
     lam_eff, shift_c = _effective(lam)
     n_uni = _n_uniform(cfg, cube_root(lam_eff))
     geo = ws.geometry(shift_c, n_uni, level)
+    if mirror:
+        geo = geo.conjugated()
     eng = _Engine(geo, lam_eff, cfg)
     return eng, [eng.iterate(t) for t in inits]
 
 
-def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
+def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
+                    mirror: bool = False):
     """Solve on doubling meshes until two resolutions agree at shared edges.
 
     A target 10 * tol below float64 resolution is refused after the first
@@ -956,7 +982,7 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig):
     prev_edges = None
     gap = math.inf
     for level in range(_MAX_DOUBLINGS):
-        eng, results = _iterate_on_level(ws, lam, inits, cfg, level)
+        eng, results = _iterate_on_level(ws, lam, inits, cfg, level, mirror)
         edges = [r[1] for r in results]
         if prev_edges is not None:
             gap = 0.0
@@ -1024,6 +1050,24 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
         _, results = _solve_verified(ws, lam, [init], cfg)
     else:
         _, results = _iterate_on_level(ws, lam, [init], cfg, 0)
+    return complex(results[0][1][-1])
+
+
+def _mirror_value(ws: Workspace, lam: float, init: InitialTriple,
+                  cfg: SolverConfig | None) -> complex:
+    """Verified y(1) of the conjugated problem (-p, q) at -lam, for real lam.
+
+    It equals solve_value(ws.p.scaled(-1.0), ws.q, -lam, init, cfg) on a
+    workspace with ws's breakpoints, but runs on ws's own meshes through
+    _Geometry.conjugated, so no mesh of (-p, q) is built or kept (a level
+    the direct solves never reached is built for (p, q) and cached as
+    usual).  Below _SHIFT_MIN the solve of (-p + dx) is no conjugate of that
+    of (p + dx), and the zero pair has its closed form: both keep the plain
+    solve.
+    """
+    if abs(lam) < _SHIFT_MIN or (ws.p.is_zero and ws.q.is_zero):
+        return solve_value(ws.p.scaled(-1.0), ws.q, -lam, init, cfg)
+    _, results = _solve_verified(ws, -lam, [init], cfg or SolverConfig(), mirror=True)
     return complex(results[0][1][-1])
 
 

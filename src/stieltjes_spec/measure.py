@@ -368,6 +368,7 @@ class Measure:
 
 def ramp_sequence(m: int) -> Measure:
     """Unit mass smeared with constant density m over [1/2, 1/2 + 1/m]."""
+    m = _integer(m, "ramp slope m", MeasureFormatError)
     if m < 2:
         raise MeasureFormatError("ramp slope m must be at least 2 to fit in [0, 1]")
     return Measure.from_density(0.5, 0.5 + 1.0 / m, (float(m),))

@@ -404,7 +404,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
-    residue = _mirror_residue(p, q, lam, cols[0].y_at_one, cfg)
+    residue = _mirror_residue(ws, lam, cols[0].y_at_one, cfg)
     label = _check_index(n) if n is not None else 0
     # a doubly degenerate eigenvalue kills the whole pairing matrix, not
     # just its determinant
@@ -599,8 +599,9 @@ def spectral_shift(p: Measure, q: Measure, xi, n, epsilon: float,
     The exact translation identity says the second value equals the first
     plus epsilon; returning both makes the comparison the caller's.
     """
+    epsilon = _finite(epsilon, "epsilon")
     base = find_eigenvalue(p, q, xi, n, cfg)
-    shifted_p = p.plus(Measure.lebesgue(float(epsilon)))
+    shifted_p = p.plus(Measure.lebesgue(epsilon))
     ws = Workspace(shifted_p, q)
     f = _root_fn(shifted_p, q, xi, cfg, ws)
     k = _track_root(f, base.k)

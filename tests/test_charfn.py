@@ -5,8 +5,17 @@ import pytest
 
 from stieltjes_spec.errors import BadArgumentError
 from stieltjes_spec.measure import Measure
+from stieltjes_spec import ivp
 from stieltjes_spec.charfn import RealSplit, boundary_matrix, delta, real_split
-from stieltjes_spec.ivp import InitialTriple, Workspace, solve_picard, xi_bound
+from stieltjes_spec.ivp import (
+    InitialTriple,
+    SolverConfig,
+    Workspace,
+    solve_picard,
+    solve_value,
+    xi_bound,
+)
+from stieltjes_spec.spectrum import eigenfunction
 
 
 def closed_form_split(k):
@@ -125,3 +134,53 @@ def test_validation():
         delta(ZERO, ZERO, float("inf"), 1)
     with pytest.raises(BadArgumentError):
         boundary_matrix(ZERO, ZERO, 1.0, 0)
+
+
+E1 = InitialTriple(1, 0, 0)
+MIRROR_PAIRS = {
+    "zero": (ZERO, ZERO),
+    "atomic": (Measure.point(0.4, 0.3), Measure.point(0.5, 0.7)),
+    "roadmap": (Measure.point(0.4, 0.3),
+                Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))),
+}
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("zero", 500.0), ("zero", 0.015),
+    ("atomic", 300.0), ("atomic", -4e4), ("atomic", -0.02),
+    ("roadmap", 64.0), ("roadmap", -2e5), ("roadmap", 0.01),
+])
+def test_mirror_solve_shares_the_direct_mesh_bit_for_bit(name, lam, monkeypatch):
+    """The conjugation residue is the one a fresh (-p, q) solve gives.
+
+    real_split and eigenfunction compare y1(1, lambda) with one solve of
+    the conjugated problem; above _SHIFT_MIN it runs on the direct pair's
+    meshes, building no geometry and caching nothing.
+    """
+    p, q = MIRROR_PAIRS[name]
+    mirror = solve_value(p.scaled(-1.0), q, -lam, E1, SolverConfig())
+
+    def residue(v1):
+        return abs(v1 - mirror.conjugate()) / max(1.0, abs(v1))
+
+    split = real_split(p, q, lam, workspace=Workspace(p, q))
+    assert split.residue == residue(complex(split.Y1, split.Z1))
+    pair = eigenfunction(p, q, 1, lam, workspace=Workspace(p, q))
+    assert pair.realness_residue == residue(boundary_matrix(p, q, lam, 1)[0, 0])
+
+    builds = []
+    build = ivp._Geometry.__init__
+
+    def counted(geo, *args, **kwargs):
+        builds.append(args)
+        build(geo, *args, **kwargs)
+
+    monkeypatch.setattr(ivp._Geometry, "__init__", counted)
+    ws = Workspace(p, q)
+    solve_value(p, q, lam, E1, workspace=ws)
+    cached = len(ws._cache)
+    builds.clear()
+    assert real_split(p, q, lam, workspace=ws) == split
+    if abs(lam) >= ivp._SHIFT_MIN:
+        assert not builds
+    assert len(ws._cache) == cached

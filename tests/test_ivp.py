@@ -853,6 +853,71 @@ def test_recovery_tensors_are_built_on_first_use():
     assert path.n_terms == fresh.n_terms
 
 
+# every array the engine and budget_logs read; the first group is shared
+# with the direct geometry, the second conjugated
+_SHARED_ARRAYS = ("edges", "h", "tg", "gw", "qg", "q_edge", "gw_q", "tau",
+                  "w_plain", "w_q", "widths", "width_of")
+_CONJUGATED_ARRAYS = ("rho_g", "gw_rho", "w_rho")
+
+
+@st.composite
+def _conjugation_measure(draw, positions):
+    """Atoms at some of the shared positions (0 among them at times) and a
+    density piece of degree up to 3."""
+    mu = Measure.zero()
+    for x in positions:
+        if draw(st.booleans()):
+            weight = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+            mu = mu.plus(Measure.point(x / 100.0, weight))
+    degree = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if degree is not None:
+        lo = draw(st.integers(0, 80))
+        hi = draw(st.integers(lo + 5, 100))
+        coeffs = [draw(st.floats(-2.0, 2.0)) for _ in range(degree + 1)]
+        mu = mu.plus(Measure.from_density(lo / 100.0, hi / 100.0, coeffs))
+    return mu
+
+
+@st.composite
+def conjugation_cases(draw):
+    positions = draw(st.lists(st.integers(0, 99), max_size=3, unique=True))
+    p = draw(_conjugation_measure(positions))
+    q = draw(_conjugation_measure(positions))
+    return p, q, draw(st.sampled_from((0, 1))), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(conjugation_cases())
+@example((Measure.point(0.0, 0.5).plus(Measure.point(0.3, -0.7)),
+          Measure.point(0.0, -1.0).plus(Measure.point(0.3, 0.4)).plus(
+              Measure.from_density(0.2, 0.9, (1.0, -2.0, 0.5, 1.5))), 1, True))
+@example((Measure.from_density(0.0, 1.0, (0.3, -1.1, 2.0, -0.4)),
+          Measure.zero(), 0, False))
+def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
+    """_Geometry.conjugated is (-p, q) on the same edges, bit for bit.
+
+    It shares the lambda-free arrays with the direct geometry, whether that
+    one has built budget_logs or not, and leaves it and its workspace as
+    they were.
+    """
+    p, q, level, warm = case
+    ws = Workspace(p, q)
+    geo = ws.geometry(0.0, 16, level)
+    if warm:
+        geo.budget_logs
+    rho_g = geo.rho_g.copy()
+    view = geo.conjugated()
+    fresh = ivp._Geometry(p.scaled(-1.0), q, geo.edges)
+    for name in _SHARED_ARRAYS + _CONJUGATED_ARRAYS + ("budget_logs",):
+        assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
+    for name in _SHARED_ARRAYS:
+        assert getattr(view, name) is getattr(geo, name), name
+    assert (view.n, view.picard_budget, view.atoms) == (
+        fresh.n, fresh.picard_budget, fresh.atoms)
+    assert np.array_equal(geo.rho_g, rho_g)
+    assert view not in ws._cache.values() and len(ws._cache) == level + 1
+
+
 # ---------------------------------------------------------------------------
 # Picard tail bound
 

@@ -9,6 +9,7 @@ refuses bools, strings and None.
 
 import dataclasses
 import math
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -28,7 +29,8 @@ from stieltjes_spec.ivp import (
     solve_value,
 )
 from stieltjes_spec.lab import bound_audit, solution_continuity
-from stieltjes_spec.measure import Measure, oscillation_sequence
+from stieltjes_spec import spectrum
+from stieltjes_spec.measure import Measure, oscillation_sequence, ramp_sequence
 from stieltjes_spec.sens import fd_check, fundamental_fd_check, fundamental_gradient_q
 from stieltjes_spec.spectrum import (
     count_zeros_disc,
@@ -36,6 +38,7 @@ from stieltjes_spec.spectrum import (
     eigenfunction,
     find_eigenvalue,
     localize,
+    spectral_shift,
 )
 
 P = Measure.point(0.4, 0.3)
@@ -152,6 +155,22 @@ REFUSED = {
                             "positive and finite"),
     "oscillation string": (lambda: oscillation_sequence("3"), "integer"),
     "oscillation bool": (lambda: oscillation_sequence(True), "integer"),
+    "ramp string": (lambda: ramp_sequence("abc"), "integer"),
+    "ramp bool": (lambda: ramp_sequence(True), "integer"),
+    "ramp non-integral": (lambda: ramp_sequence(2.5), "integer"),
+    # ints beyond the float range: math.isfinite would raise OverflowError
+    "index beyond floats": (lambda: find_eigenvalue(Z, Z, 1, 10**400), "integer"),
+    # str() refuses an int of more than 4300 digits
+    "index beyond str": (lambda: find_eigenvalue(Z, Z, 1, -10**5000),
+                         "integer, got a number too long to print"),
+    "center beyond str": (lambda: count_zeros_disc(Z, Z, 1, Fraction(10**5000), 1.0),
+                          "finite, got a number too long to print"),
+    "mesh_size beyond floats": (lambda: SolverConfig(mesh_size=10**400), "integer"),
+    "tol beyond floats": (lambda: SolverConfig(tol=10**400), "positive and finite"),
+    "center beyond floats": (lambda: count_zeros_disc(Z, Z, 1, -10**400, 1.0),
+                             "finite"),
+    "epsilon string": (lambda: spectral_shift(Z, Z, 1, 1, "abc"), "finite"),
+    "epsilon beyond floats": (lambda: spectral_shift(Z, Z, 1, 1, 10**400), "finite"),
     "eigenfunction non-real": (lambda: eigenfunction(Z, Z, 1, 64.0 + 1.0j),
                                "real spectral parameter"),
     "eigenfunction complex NaN": (
@@ -166,9 +185,20 @@ REFUSED = {
 @pytest.mark.parametrize("name", REFUSED)
 def test_non_numbers_and_non_real_eigenvalues_are_refused(name):
     call, message = REFUSED[name]
-    error = MeasureFormatError if name.startswith("oscillation") else BadArgumentError
+    error = (MeasureFormatError if name.startswith(("oscillation", "ramp"))
+             else BadArgumentError)
     with pytest.raises(error, match=message):
         call()
+
+
+def test_spectral_shift_checks_epsilon_before_any_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the base eigenvalue was searched for")
+
+    monkeypatch.setattr(spectrum, "find_eigenvalue", refuse)
+    for bad in ("abc", math.nan, math.inf, None, True):
+        with pytest.raises(BadArgumentError, match="epsilon must be finite"):
+            spectral_shift(Z, Z, 1, 1, bad)
 
 
 def test_eigenfunction_takes_a_complex_lambda_with_zero_imaginary_part():
