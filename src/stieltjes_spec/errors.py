@@ -58,7 +58,12 @@ class BadArgumentError(InputError):
 
 
 class UnsupportedMultiplicityError(InputError):
-    """Sensitivity formulas require a geometrically simple eigenvalue."""
+    """A geometrically double eigenvalue, where a simple one is required.
+
+    eigenfunction raises it when the pairing matrix vanishes, so no single
+    eigenfunction exists; the sensitivity formulas raise it for a record
+    that is not simple.
+    """
 
     code = "MULTIPLICITY_UNSUPPORTED"
 

@@ -521,11 +521,16 @@ def _workspace_for(p: Measure, q: Measure, workspace: Workspace | None) -> Works
 def _supported_root(lam_eff: complex) -> complex:
     """cube_root(lam_eff), refused beyond the growth ceiling."""
     k = cube_root(lam_eff)
-    if abs(k) > _K_CEILING:
-        raise NumericalError(
-            f"|lambda|^(1/3) = {abs(k):.3g} beyond the supported ceiling"
-        )
+    _check_ceiling(abs(k))
     return k
+
+
+def _check_ceiling(k_abs: float) -> None:
+    """Refuse |k| = |lambda|^(1/3) beyond the growth ceiling."""
+    if k_abs > _K_CEILING:
+        raise NumericalError(
+            f"|lambda|^(1/3) = {k_abs:.3g} beyond the supported ceiling"
+        )
 
 
 @lru_cache(maxsize=1024)

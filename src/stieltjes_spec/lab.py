@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import _check_xi
-from .errors import BadArgumentError, NumericalError, UnsupportedMultiplicityError
+from .errors import BadArgumentError, NumericalError
 from .ivp import (
     FundamentalPath,
     InitialTriple,
     SolverConfig,
+    Workspace,
     cube_root,
     solve_picard,
     xi_bound,
@@ -137,9 +138,6 @@ def weakstar_eig(builder, m_values, limit: Measure, fixed: Measure,
         return find_eigenvalue(pair[0], pair[1], xi, n, cfg)
 
     ref = eig(limit)
-    if ref.g_mult != 1:
-        raise UnsupportedMultiplicityError(
-            "limit eigenvalue must be simple", n=n, xi=xi, g_mult=ref.g_mult)
     values = []
     for m in m_values:
         try:
@@ -302,9 +300,10 @@ def asymptotic_residuals(p: Measure, q: Measure, xi: int, n_min: int,
         raise BadArgumentError("need n_min <= n_max")
     iq = lebesgue_integral_of_induced(q)
     ns = tuple(range(n_min, n_max + 1))
+    ws = Workspace(p, q)
     lams, leading, residuals = [], [], []
     for n in ns:
-        pair = find_eigenvalue(p, q, xi, n, cfg)
+        pair = find_eigenvalue(p, q, xi, n, cfg, ws)
         base = _lattice_center(xi, n)
         lead = base ** 3 - 2.0 * base * iq
         lams.append(pair.lam)

@@ -27,7 +27,6 @@ boundary pairing, for Delta and the real characteristic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .errors import (
     RootSearchError,
     SpectrumConsistencyError,
     ThresholdRangeError,
+    UnsupportedMultiplicityError,
     _finite,
     _integer,
     _positive,
@@ -50,12 +50,13 @@ from .ivp import (
     SolutionPath,
     SolverConfig,
     Workspace,
+    _check_ceiling,
     _workspace_for,
     solve_value,
 )
 from .measure import Measure
 
-# rank ratio below which the 2x2 pairing matrix counts as doubly degenerate
+# rank ratio below which the 2x2 pairing matrix counts as vanishing
 _RANK_TOL = 1e-8
 # largest admissible phase step along a counting contour, radians
 _PHASE_STEP = 1.2
@@ -80,9 +81,11 @@ SpectrumConfig = SolverConfig
 class Eigenpair:
     """One located eigenvalue with its normalized eigenfunction data.
 
-    k is the signed real cube root of lam.  For a geometrically double
-    eigenvalue (g_mult == 2) the kernel is two dimensional: E is None and
-    basis holds two independent normalized solutions instead.
+    k is the signed real cube root of lam.  Every eigenpair the package
+    returns is simple: g_mult is 1, a_simple is true and basis is None,
+    since a vanishing pairing matrix raises instead (see eigenfunction).
+    The fields stay because eig tables print a_simple and g_mult, and the
+    benchmark harness builds records with basis=None and reads pair.basis.
     """
 
     xi: int
@@ -206,7 +209,8 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     """Zeros of Delta_xi enclosed by a k-plane disc, by winding count.
 
     center must be real.  The cube maps an offset disc injectively, so it
-    must exclude the origin.
+    must exclude the origin.  A disc reaching beyond the solver's k ceiling
+    is refused before its contour is sized.
     """
     xi = _check_xi(xi)
     center = _finite(center, "disc center")
@@ -214,6 +218,7 @@ def count_zeros_disc(p: Measure, q: Measure, xi, center: float, radius: float,
     ws = _workspace_for(p, q, workspace)
     if center != 0.0 and abs(center) <= radius:
         raise BadArgumentError("offset disc must exclude the origin")
+    _check_ceiling(abs(center) + radius)
     return _winding(p, q, xi, center, radius, cfg, ws)[0]
 
 
@@ -335,27 +340,6 @@ def _track_root(f, k_start, max_drift=0.3):
                           k=k1)
 
 
-def _golden_min(g, lo, hi, iters=60):
-    """Golden-section minimum of g on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        if b - a < 1e-13:
-            break
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # eigenpair assembly
 
@@ -395,7 +379,13 @@ def _kernel_coefficients(m: np.ndarray):
 def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                   cfg: SolverConfig | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
-    """Package the eigenpair at an already-located real eigenvalue."""
+    """Package the eigenpair at an already-located real eigenvalue.
+
+    A geometrically double eigenvalue kills the whole pairing matrix, not
+    just its determinant, and leaves no single null direction: when its
+    largest singular value falls below _RANK_TOL of the column scale, this
+    raises UnsupportedMultiplicityError.
+    """
     xi = _check_xi(xi)
     lam = _real_lambda(lam, "eigenfunction")
     ws = _workspace_for(p, q, workspace)
@@ -404,17 +394,12 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
-    residue = _mirror_residue(ws, lam, cols[0].y_at_one, cfg)
     label = _check_index(n) if n is not None else 0
-    # a doubly degenerate eigenvalue kills the whole pairing matrix, not
-    # just its determinant
     if sv[0] < _RANK_TOL * col_scale:
-        basis = tuple(_combine(geo, lam, cols, _normalised(geo, cols, coefs))
-                      for coefs in ((1.0, 0.0), (0.0, 1.0)))
-        return Eigenpair(xi=xi, n=label, lam=lam, k=k, g_mult=2,
-                         a=None, b=None, E=None, basis=basis,
-                         bc_residual=float(sv[0]) / col_scale,
-                         norm_residual=0.0, realness_residue=residue)
+        raise UnsupportedMultiplicityError(
+            "pairing matrix vanishes: no simple eigenfunction",
+            xi=xi, n=n, lam=lam, rank_ratio=float(sv[0]) / col_scale)
+    residue = _mirror_residue(ws, lam, cols[0].y_at_one, cfg)
     a, b = _normalised(geo, cols, _kernel_coefficients(m))
     path = _combine(geo, lam, cols, (a, b))
     norm_res = abs(_l2_norm_sq(geo, path.node[0]) - 1.0)
@@ -492,36 +477,16 @@ def _central_geometry(xi, n_window):
     return 2 * m * math.pi, 2 * m, m
 
 
-def _double_candidates(f, grid, vals):
-    """Local |f| minima without sign change: candidate double roots."""
-    out = []
-    absv = np.abs(np.asarray(vals))
-    floor = float(np.median(absv))
-    for i in range(1, len(grid) - 1):
-        if (vals[i] < 0) != (vals[i - 1] < 0):
-            continue
-        if (vals[i] < 0) != (vals[i + 1] < 0):
-            continue
-        if absv[i] >= absv[i - 1] or absv[i] >= absv[i + 1]:
-            continue
-        if absv[i] > 0.05 * floor:
-            continue
-        k = _golden_min(lambda t: abs(f(t)),
-                        float(grid[i - 1]), float(grid[i + 1]))
-        out.append(k)
-    return out
-
-
 def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
                   cfg: SolverConfig | None = None,
                   workspace: Workspace | None = None) -> list[Eigenpair]:
     """Eigenpairs for indices n_min..n_max with verified central counting.
 
-    Roots inside the central disc are anchored by a winding count; agreement
-    between the count and the real-axis bracket scan fixes the sorted-order
-    to index mapping.  A double root occupies two consecutive indices and
-    yields two records with the same location.  Indices beyond the central
-    window get their own certified window search.
+    Roots inside the central disc are anchored by a winding count; the
+    real-axis scan must find exactly as many sign changes, one per root, and
+    their sorted order then fixes the index of each.  Any other number of
+    sign changes raises SpectrumConsistencyError.  Indices beyond the
+    central window get their own certified window search.
     """
     xi = _check_xi(xi)
     n_min, n_max = _check_index(n_min), _check_index(n_max)
@@ -542,47 +507,21 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     grid = np.linspace(-radius, radius, m_samples)
     vals = [f(float(k)) for k in grid]
     brackets = _sign_changes(vals)
-    # coarse root list: (position, multiplicity, bracket index or None);
-    # bracket order on the grid already fixes the sorted order, so only
-    # requested slots get refined
-    roots: list[tuple[float, int, int | None]] = [
-        (float(grid[i]), 1, i) for i in brackets
-    ]
     if len(brackets) != expected:
-        for k in _double_candidates(f, grid, vals):
-            pair = eigenfunction(p, q, xi, k**3, cfg=cfg, workspace=ws)
-            if pair.g_mult == 2:
-                roots.append((k, 2, None))
-    if sum(mult for _, mult, _ in roots) != expected:
         raise SpectrumConsistencyError(
             "real-axis roots disagree with the central winding count",
             xi=xi, disc=("central", radius), expected=expected,
-            located=sum(mult for _, mult, _ in roots),
+            located=len(brackets),
         )
-    roots.sort(key=lambda r: r[0])
+    # bracket order on the grid fixes the sorted order, so only requested
+    # indices get refined
     out: list[Eigenpair] = []
-    slot = -offset
-    for k_coarse, mult, bi in roots:
-        indices = range(slot, slot + mult)
-        slot += mult
-        wanted = [n for n in indices if n_min <= n <= n_max]
-        if not wanted:
-            continue
-        if bi is not None:
-            k = _refine_bracket(f, float(grid[bi]), float(grid[bi + 1]),
-                                vals[bi], vals[bi + 1], _BISECT_TOL)
-        else:
-            k = k_coarse
-        pair = eigenfunction(p, q, xi, k**3, n=wanted[0], cfg=cfg,
-                             workspace=ws)
-        if (pair.g_mult == 2) != (mult == 2):
-            raise SpectrumConsistencyError(
-                "rank test disagrees with the scan multiplicity",
-                xi=xi, k=k, scan_mult=mult, rank_mult=pair.g_mult,
-            )
-        out.append(pair)
-        for n in wanted[1:]:
-            out.append(dataclasses.replace(pair, n=n))
+    for n, i in enumerate(brackets, start=-offset):
+        if n_min <= n <= n_max:
+            k = _refine_bracket(f, float(grid[i]), float(grid[i + 1]),
+                                vals[i], vals[i + 1], _BISECT_TOL)
+            out.append(eigenfunction(p, q, xi, k**3, n=n, cfg=cfg,
+                                     workspace=ws))
     covered_lo = -offset
     covered_hi = expected - 1 - offset
     for n in range(n_min, n_max + 1):

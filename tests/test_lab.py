@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stieltjes_spec import lab
 from stieltjes_spec.errors import BadArgumentError
 from stieltjes_spec.ivp import SolverConfig
 from stieltjes_spec.lab import (
@@ -13,6 +14,7 @@ from stieltjes_spec.lab import (
     weakstar_eig,
 )
 from stieltjes_spec.measure import Measure, oscillation_sequence, ramp_sequence
+from stieltjes_spec.spectrum import find_eigenvalue
 
 HALF_ATOM = Measure.point(0.5, 1.0)
 
@@ -187,6 +189,23 @@ def test_asymptotics_second_condition():
     assert abs(rep.leading[0] - (base ** 3 - base)) < 1e-9 * base ** 3
     assert all(abs(r) < 3.0 for r in rep.residuals)
     assert rep.bounded
+
+
+def test_asymptotics_share_one_workspace(monkeypatch):
+    # one workspace serves every index, with the bits of a fresh one each
+    p, q = Measure.point(0.4, 0.3), Measure.point(0.5, 0.7)
+    built = []
+    real = lab.Workspace
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lab, "Workspace", counted)
+    rep = asymptotic_residuals(p, q, 1, 1, 3)
+    assert len(built) == 1
+    assert rep.lams == tuple(find_eigenvalue(p, q, 1, n).lam
+                             for n in (1, 2, 3))
 
 
 def test_asymptotics_validation():

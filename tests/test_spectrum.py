@@ -11,8 +11,11 @@ from stieltjes_spec import spectrum
 from stieltjes_spec.charfn import _ROUTE_TOL, delta, real_split
 from stieltjes_spec.errors import (
     BadArgumentError,
+    NumericalError,
     RootSearchError,
+    SpectrumConsistencyError,
     ThresholdRangeError,
+    UnsupportedMultiplicityError,
 )
 from stieltjes_spec.ivp import (
     InitialTriple,
@@ -118,6 +121,19 @@ def test_count_disc_refuses_non_finite_center_before_the_contour():
     for center in (math.inf, -math.inf, math.nan):
         with pytest.raises(BadArgumentError, match="center"):
             count_zeros_disc(Z, Z, 1, center, 1.0)
+
+
+def test_count_disc_refuses_a_disc_beyond_the_k_ceiling_before_the_contour(
+        monkeypatch):
+    # a central disc of radius r sizes its contour as 8 (2 ceil(r/pi) + 1)
+    # points, so a huge radius must be refused before any contour is formed
+    def no_contour(*args):
+        raise AssertionError("contour evaluated beyond the k ceiling")
+
+    monkeypatch.setattr(spectrum, "_delta_values", no_contour)
+    for center, radius in ((0.0, 1e6), (1e6, 1.0), (-1e6, 1.0)):
+        with pytest.raises(NumericalError, match="ceiling"):
+            count_zeros_disc(Z, Z, 1, center, radius)
 
 
 def test_first_pairing_lattice_roots():
@@ -518,3 +534,37 @@ def test_spectrum_layer_hands_the_solver_config_straight_through(monkeypatch):
         want = (2 * p.n * math.pi) ** 3
         assert abs(p.lam - want) < 1e-9 * max(1.0, abs(want))
     assert seen and all(c is cfg for c in seen)
+
+
+def test_eigenfunction_refuses_a_vanishing_pairing_matrix(monkeypatch):
+    # M_xi = 0 leaves a two-dimensional kernel and no single eigenfunction
+    real = spectrum._pairing_solve
+
+    def vanishing(*args):
+        geo, cols, m = real(*args)
+        return geo, cols, np.zeros_like(m)
+
+    monkeypatch.setattr(spectrum, "_pairing_solve", vanishing)
+    lam = (2 * math.pi) ** 3
+    with pytest.raises(UnsupportedMultiplicityError) as err:
+        eigenfunction(Z, Z, 1, lam, n=1)
+    assert err.value.context == {"xi": 1, "n": 1, "lam": lam,
+                                 "rank_ratio": 0.0}
+
+
+def test_scan_refuses_a_central_count_off_the_lattice_block(monkeypatch):
+    monkeypatch.setattr(spectrum, "count_zeros_disc", lambda *args: 8)
+    with pytest.raises(SpectrumConsistencyError) as err:
+        spectrum_scan(Z, Z, 1, -2, 2)
+    assert err.value.context["expected"] == 7
+    assert err.value.context["counted"] == 8
+
+
+def test_scan_refuses_a_real_axis_shortfall(monkeypatch):
+    # one sign change fewer than the winding count: no index is guessed
+    real = spectrum._sign_changes
+    monkeypatch.setattr(spectrum, "_sign_changes", lambda vals: real(vals)[1:])
+    with pytest.raises(SpectrumConsistencyError) as err:
+        spectrum_scan(Z, Z, 1, -2, 2)
+    assert err.value.context["expected"] == 7
+    assert err.value.context["located"] == 6
