@@ -324,9 +324,9 @@ class _Geometry:
 
     What every engine reads is built here: nodes, weights, the densities
     at nodes and sub-nodes, and the weight products gw_rho = (gw rho)^T and
-    gw_q = (gw q)^T, (6, n).  The moment tensors m_rho0 ... m_p1 serve only
-    the recovery of y' and w after a verified solve; each is built on
-    first use.
+    gw_q = (gw q)^T, (6, n).  The two moment tensors m_rho0 (against
+    d(q + i p)) and m_p0 (against dt) serve only the recovery of w and y'
+    after a verified solve; each is built on first use.
     """
 
     def __init__(self, p: Measure, q: Measure, edges: np.ndarray,
@@ -342,7 +342,6 @@ class _Geometry:
         h, centers, self.tg, self.gw = _gauss_cells(edges)
         if np.any(h <= 0):
             raise BadArgumentError("mesh edges must be strictly increasing")
-        self.h = h
         self.n = len(h)
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
@@ -404,20 +403,8 @@ class _Geometry:
         return _partial_moments(self.w_rho)
 
     @cached_property
-    def m_rho1(self) -> np.ndarray:
-        return _partial_moments(self.w_rho * self.tau)
-
-    @cached_property
-    def m_q0(self) -> np.ndarray:
-        return _partial_moments(self.w_q)
-
-    @cached_property
     def m_p0(self) -> np.ndarray:
         return _partial_moments(self.w_plain)
-
-    @cached_property
-    def m_p1(self) -> np.ndarray:
-        return _partial_moments(self.w_plain * self.tau)
 
     def refined(self) -> "_Geometry":
         """Split every cell in half; parent edges appear at even indices."""
@@ -433,7 +420,7 @@ class _Geometry:
         A density of p.scaled(-1.0) is the exact negation of p's, so the
         view conjugates rho_g, gw_rho, w_rho and the atom weights and shares
         every other array, budget_logs included.  It is built per solve and
-        cached nowhere; the rho moment tensors are left to be rebuilt.
+        cached nowhere; m_rho0 is left to be rebuilt.
         """
         view = object.__new__(_Geometry)
         view.__dict__.update(self.__dict__)
@@ -443,7 +430,6 @@ class _Geometry:
         view.w_rho = self.w_rho.conjugate()
         view.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in self.atoms]
         view.__dict__.pop("m_rho0", None)
-        view.__dict__.pop("m_rho1", None)
         return view
 
     def prefix(self, vals, weights, moments, jumps=()):
@@ -801,33 +787,24 @@ class _Engine:
     def recover(self, init: InitialTriple, y_node, y_edge):
         """Stacked (y, y', w) at every node (3, n, 6) and edge (3, n+1).
 
-        y' and w come from the exact moment identities.  With
+        w comes from the exact moment identity and y' from dy' = w dx.  With
         dnu = d(q + i p) - i lambda dt and integrals over (0, x]:
-            y'(x) = z0 + w0 x - 2 int q y dt + int (x - t) y dnu,
-            w(x)  = w0 - 2 q(x) y(x) + int y dnu.
+            w(x)  = w0 - 2 q(x) y(x) + int y dnu,
+            y'(x) = z0 + int_0^x w dt.
+        Atoms and density breakpoints sit on mesh edges, so w is smooth
+        inside every cell and the Gauss rule integrates it there.
         """
         geo = self.geo
         il = 1j * self.lam
-        gw_rho = geo.gw_rho.T
-        parts = (
-            geo.prefix(y_node, geo.gw_q.T, geo.m_q0),
-            geo.prefix(y_node, geo.gw, geo.m_p0),
-            geo.prefix(y_node, geo.gw * geo.tg, geo.m_p1),
-            geo.prefix(y_node, gw_rho, geo.m_rho0,
-                       [(i, d_mu * y_edge[i]) for i, _, d_mu in geo.atoms]),
-            geo.prefix(y_node, gw_rho * geo.tg, geo.m_rho1,
-                       [(i, d_mu * y_edge[i] * x_a) for i, x_a, d_mu in geo.atoms]),
-        )
-        out = []
-        # the same identities at the nodes, then at the edges
-        for y, x, drift, (q0, p0, p1, r0, r1) in zip(
-                (y_node, y_edge), (geo.tg, geo.edges), (geo.qg, geo.q_edge),
-                zip(*parts)):
-            nu0 = r0 - il * p0
-            nu1 = r1 - il * p1
-            out.append(np.stack([y, init.z0 + init.w0 * x - 2.0 * q0 + x * nu0 - nu1,
-                                 init.w0 - 2.0 * drift * y + nu0]))
-        return tuple(out)
+        rho0 = geo.prefix(y_node, geo.gw_rho.T, geo.m_rho0,
+                          [(i, d_mu * y_edge[i]) for i, _, d_mu in geo.atoms])
+        p0 = geo.prefix(y_node, geo.gw, geo.m_p0)
+        nu_node, nu_edge = (r0 - il * l0 for r0, l0 in zip(rho0, p0))
+        w_node = init.w0 - 2.0 * geo.qg * y_node + nu_node
+        w_edge = init.w0 - 2.0 * geo.q_edge * y_edge + nu_edge
+        z_node, z_edge = geo.prefix(w_node, geo.gw, geo.m_p0)
+        return (np.stack([y_node, init.z0 + z_node, w_node]),
+                np.stack([y_edge, init.z0 + z_edge, w_edge]))
 
 
 # ---------------------------------------------------------------------------
@@ -1243,17 +1220,26 @@ def fundamental_matrix(p: Measure, q: Measure, lam: complex, x: float,
     return FundamentalMatrix(x=float(x), lam=complex(lam), entries=fp.matrix(x))
 
 
+# entry j of column 3 of adj N is y_a z_b - y_b z_a for (a, b) = _ADJ_PAIRS[j]
+_ADJ_PAIRS = ((1, 2), (2, 0), (0, 1))
+
+
 def _adjugate_column3(y_rows, yp_rows):
     """Third column of N^{-1} from the continuous rows of N.
 
     y_rows, yp_rows: arrays (..., 3) of (y_j, y_j') values.  det N = 1, so
     the inverse is the adjugate, and column 3 needs only rows 1 and 2.
     """
-    y1, y2, y3 = (y_rows[..., j] for j in range(3))
-    z1, z2, z3 = (yp_rows[..., j] for j in range(3))
-    return np.stack(
-        [y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1], axis=-1
-    )
+    return np.stack([y_rows[..., a] * yp_rows[..., b] - y_rows[..., b] * yp_rows[..., a]
+                     for a, b in _ADJ_PAIRS], axis=-1)
+
+
+def _adjugate_size(y_rows, yp_rows):
+    """|y_a z_b| + |y_b z_a| for each entry of _adjugate_column3: the size
+    its rounding scales with."""
+    return np.stack([np.abs(y_rows[..., a] * yp_rows[..., b])
+                     + np.abs(y_rows[..., b] * yp_rows[..., a])
+                     for a, b in _ADJ_PAIRS], axis=-1)
 
 
 def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
@@ -1264,6 +1250,13 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
     The forcing integral runs over the closed interval, so an atom of nu at 0
     offsets the state immediately.  w jumps by h(a) nu{a} at atoms of nu and
     by the usual -y(a) (dq{a} - i dp{a}) at atoms of the coefficients.
+
+    y is a sum of products of growing columns of N and of its adjugate, so
+    at large |lambda| it cancels digits.  The rounding is estimated as
+        eps sum_j |N_0j(x)| (|init_j| + int_[0,x] s_j |h| d|nu|),
+    with s_j the size of the j-th adjugate entry (_adjugate_size), at every
+    node and edge.  Where it exceeds tol max(1, max |y|), NumericalError is
+    raised (context: lam, the estimate relative to that scale, tol).
     """
     init = _initial(init)
     ws = Workspace(p, q, extra_breakpoints=nu.breakpoints())
@@ -1277,28 +1270,50 @@ def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
     h_node = np.asarray([h(float(t)) for t in tg.ravel()], dtype=complex)
     h_node = h_node.reshape(tg.shape)
     h_edge = np.asarray([h(float(x)) for x in edges], dtype=complex)
-    g_node = _adjugate_column3(rows_n[0], rows_n[1]) * h_node[..., None]
-    g_edge = _adjugate_column3(rows_e[0], rows_e[1]) * h_edge[..., None]
-
-    jumps, extra_jumps = [], []
+    atoms, extra_jumps = [], []
     for a in nu.atoms:
         idx = _edge_index(edges, a.x, "forcing atom")
-        jumps.append((idx, a.w * g_edge[idx]))
+        atoms.append((idx, a.w))
         if a.x > 0:
             extra_jumps.append((idx, a.x, a.w * complex(h_edge[idx])))
-    weights = geo.gw * nu.density_many(tg.ravel()).reshape(tg.shape)
+    density = nu.density_many(tg.ravel()).reshape(tg.shape)
     tau_rho = nu.density_many(geo.tau.reshape(-1)).reshape(geo.tau.shape)
-    m_nu = _partial_moments(geo.w_plain * tau_rho)
-    j_node = np.empty(tg.shape + (3,), dtype=complex)
-    j_edge = np.empty((len(edges), 3), dtype=complex)
-    for comp in range(3):
-        j_node[..., comp], j_edge[:, comp] = geo.prefix(
-            g_node[..., comp], weights, m_nu,
-            [(idx, mass[comp]) for idx, mass in jumps])
 
+    def integrals(g_node, g_edge, dens_node, dens_sub, masses):
+        """int_[0,x] g dm per component, (n, 6, 3) at nodes and (n+1, 3) at
+        edges, for the measure m with these densities at the nodes and
+        sub-nodes and these (edge index, mass) atoms."""
+        moments = _partial_moments(geo.w_plain * dens_sub)
+        cols = [geo.prefix(g_node[..., comp], geo.gw * dens_node, moments,
+                           [(idx, w * g_edge[idx, comp]) for idx, w in masses])
+                for comp in range(3)]
+        return (np.stack([c[0] for c in cols], axis=-1),
+                np.stack([c[1] for c in cols], axis=-1))
+
+    j_node, j_edge = integrals(
+        _adjugate_column3(rows_n[0], rows_n[1]) * h_node[..., None],
+        _adjugate_column3(rows_e[0], rows_e[1]) * h_edge[..., None],
+        density, tau_rho, atoms)
     vec = init.as_vector()
     node = np.einsum("ciaj,iaj->cia", rows_n, vec + j_node)
     edge = np.einsum("cej,ej->ce", rows_e, vec + j_edge)
+
+    s_node, s_edge = integrals(
+        _adjugate_size(rows_n[0], rows_n[1]) * np.abs(h_node)[..., None],
+        _adjugate_size(rows_e[0], rows_e[1]) * np.abs(h_edge)[..., None],
+        np.abs(density), np.abs(tau_rho), [(idx, abs(w)) for idx, w in atoms])
+    size = np.abs(vec)
+    rounding = _EPS * max(
+        float(np.max(np.einsum("iaj,iaj->ia", np.abs(rows_n[0]), size + s_node.real))),
+        float(np.max(np.einsum("ej,ej->e", np.abs(rows_e[0]), size + s_edge.real))))
+    estimate = rounding / max(1.0, float(np.max(np.abs(node[0]))),
+                              float(np.max(np.abs(edge[0]))))
+    tol = fp.cfg.tol
+    if estimate > tol:
+        raise NumericalError(
+            f"variation of constants cancels digits: rounding estimate "
+            f"{estimate:.3g} relative exceeds tolerance {tol:.3g}",
+            lam=complex(lam), estimate=estimate, tol=tol)
     return SolutionPath(lam, init, geo, node, edge,
                         max(c.n_terms for c in fp.columns),
                         extra_jumps=extra_jumps)

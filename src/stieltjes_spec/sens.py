@@ -41,9 +41,12 @@ tol 1e-9 and 1e-11 and for finite-difference steps 1e-3 to 1e-5.  Under
 mesh doubling (256, 512, 1024 cells) it falls for some directions (2.7e-3,
 9.8e-4, 5.8e-4) and stays flat for others (1.2e-3, 9.7e-4, 1.0e-3), and a
 1e-15 relative change in the rows (interpolated instead of stored node
-values) moves it by a third.  The p channel at lambda = 3000 stays at 3e-9
-to 6e-9 along an atom at 0.3 and density 1 on [0.2, 0.7), and reaches 1e-7
-along an atom at 0.6.
+values) moves it by a third.  Nor do the recovered y' rows cause it: taking
+y' = z0 + int w, 2-5x closer to the exact atomic solution, moved the error
+along atom(0.3, 1) plus density 1 on [0.2, 0.7) only from 3.7e-6 to 3.5e-6
+at lambda = 2000 and from 7.1e-4 to 4.8e-4 at 3000.  The p channel at
+lambda = 3000 stays at 3e-9 to 6e-9 along an atom at 0.3 and density 1 on
+[0.2, 0.7), and reaches 1e-7 along an atom at 0.6.
 """
 
 from __future__ import annotations

@@ -81,15 +81,18 @@ SpectrumConfig = SolverConfig
 class Eigenpair:
     """One located eigenvalue with its normalized eigenfunction data.
 
-    k is the signed real cube root of lam.  Every eigenpair the package
-    returns is simple: g_mult is 1, a_simple is true and basis is None,
-    since a vanishing pairing matrix raises instead (see eigenfunction).
+    k is the signed real cube root of lam.  n is the index of the root in
+    sorted order around 0; it is None when eigenfunction was called without
+    one, since packaging a root does not locate its window.  Every eigenpair
+    the package returns is simple: g_mult is 1, a_simple is true and basis
+    is None, since a vanishing pairing matrix raises instead (see
+    eigenfunction).
     The fields stay because eig tables print a_simple and g_mult, and the
     benchmark harness builds records with basis=None and reads pair.basis.
     """
 
     xi: int
-    n: int
+    n: int | None
     lam: float
     k: float
     g_mult: int
@@ -381,6 +384,8 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
                   workspace: Workspace | None = None) -> Eigenpair:
     """Package the eigenpair at an already-located real eigenvalue.
 
+    n labels the pair; without it the pair's n is None, never a guess.
+
     A geometrically double eigenvalue kills the whole pairing matrix, not
     just its determinant, and leaves no single null direction: when its
     largest singular value falls below _RANK_TOL of the column scale, this
@@ -394,7 +399,7 @@ def eigenfunction(p: Measure, q: Measure, xi, lam: float, n: int | None = None,
     col_scale = max(1.0, abs(cols[0].y_at_one), abs(cols[1].y_at_one),
                     abs(cols[0].yprime_at_one), abs(cols[1].yprime_at_one))
     k = math.copysign(abs(lam) ** (1.0 / 3.0), lam)
-    label = _check_index(n) if n is not None else 0
+    label = None if n is None else _check_index(n)
     if sv[0] < _RANK_TOL * col_scale:
         raise UnsupportedMultiplicityError(
             "pairing matrix vanishes: no simple eigenfunction",

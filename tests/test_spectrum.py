@@ -136,6 +136,62 @@ def test_count_disc_refuses_a_disc_beyond_the_k_ceiling_before_the_contour(
             count_zeros_disc(Z, Z, 1, center, radius)
 
 
+def _contour_record(monkeypatch):
+    """Wrap _delta_values; each contour is recorded as (points, k), with k
+    = center + radius the real k of its point 0."""
+    real = spectrum._delta_values
+    seen = []
+
+    def recorded(p, q, xi, lams, cfg, ws):
+        seen.append((len(lams), abs(lams[0]) ** (1.0 / 3.0)))
+        return real(p, q, xi, lams, cfg, ws)
+
+    monkeypatch.setattr(spectrum, "_delta_values", recorded)
+    return seen
+
+
+def test_contour_through_a_root_is_recounted_on_a_bumped_radius(monkeypatch):
+    # the zero pair's xi = 1 roots sit at k = 2 n pi: both circles below pass
+    # through k = 2 pi, so the first contour is refused for clearance, and
+    # the bumped one is doubled until its phase steps resolve
+    seen = _contour_record(monkeypatch)
+    radius = 2.0 * math.pi
+    assert count_zeros_disc(Z, Z, 1, 0.0, radius) == 3
+    assert [m for m, _ in seen] == [64, 64, 128]
+    assert [k / radius for _, k in seen] == pytest.approx([1.0, 1.013, 1.013],
+                                                          rel=1e-12)
+    seen.clear()
+    center = 2.0 * math.pi + 1.0
+    assert count_zeros_disc(Z, Z, 1, center, 1.0) == 1
+    assert [m for m, _ in seen] == [32, 32, 64, 128, 256]
+    assert [k - center for _, k in seen] == pytest.approx([1.0] + [1.013] * 4,
+                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("largest", range(4))
+def test_kernel_coefficients_null_a_rank_one_matrix(largest):
+    # m = u v^T with the largest entry at (i, j); dyadic factors keep the
+    # entries exact, so only the division and the residual round
+    i, j = divmod(largest, 2)
+    u = np.array([0.5 - 0.25j, 0.75 + 0.5j])
+    v = np.array([-0.25 + 0.5j, 0.375 - 0.125j])
+    u[i], v[j] = 3.0 + 2.0j, -2.5 + 1.5j
+    m = np.outer(u, v)
+    assert int(np.argmax(np.abs(m).ravel())) == largest
+    vec = np.array(spectrum._kernel_coefficients(m))
+    assert np.max(np.abs(m @ vec)) <= 1e-15 * np.max(np.abs(m))
+    assert np.max(np.abs(vec)) == 1.0
+
+
+def test_eigenfunction_without_an_index_labels_none():
+    # k = 2 pi is root n = 1 of the first pairing; without n the pair
+    # carries no index rather than a wrong one
+    pair = eigenfunction(Z, Z, 1, (2 * math.pi) ** 3)
+    assert pair.n is None
+    assert pair.k == pytest.approx(2 * math.pi, rel=1e-15)
+    assert eigenfunction(Z, Z, 1, (2 * math.pi) ** 3, n=1).n == 1
+
+
 def test_first_pairing_lattice_roots():
     for n in (1, -2):
         pair = find_eigenvalue(Z, Z, 1, n)
