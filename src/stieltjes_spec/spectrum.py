@@ -20,6 +20,10 @@ confirm a sign change, Brent bracketing refines any wider bracket to width
 _BISECT_TOL (1e-12), and the eigenpair is packaged from verified solves.
 Roots of a perturbed problem are tracked from the base root by secant steps.
 
+A full scan counts the central disc the same way and brackets the counted
+roots on the real axis, coarse to fine: from step pi, down to the finest
+step _SCAN_STEP (pi/8) only while sign changes fall short of the count.
+
 This module owns the lattice, counting and root location.  It makes its
 own solve_value calls and hands the values to charfn, the home of the
 boundary pairing, for Delta and the real characteristic.
@@ -62,8 +66,10 @@ _RANK_TOL = 1e-8
 _PHASE_STEP = 1.2
 # contour values this small relative to the largest force a radius retry
 _CLEARANCE = 1e-10
-# scan grid spacing for real-axis root bracketing
+# finest step of the real-axis scan, which starts at step pi and halves
+# only while its sign changes fall short of the winding count
 _SCAN_STEP = math.pi / 8.0
+_COARSE_STRIDE = round(math.pi / _SCAN_STEP)  # fine steps per coarse step pi
 # evaluations a bracket refinement may spend beyond plain bisection
 _SPARE_STEPS = 4
 _BISECT_TOL = 1e-12  # k-width at which root brackets and tracking stop
@@ -475,11 +481,22 @@ def find_eigenvalue(p: Measure, q: Measure, xi, n,
 
 
 def _central_geometry(xi, n_window):
-    """Radius, expected count and index offset for the centered disc."""
+    """Radius in units of pi, expected count and index offset for the
+    centered disc."""
     if xi == 1:
-        return (2 * n_window + 1) * math.pi, 2 * n_window + 1, n_window
+        return 2 * n_window + 1, 2 * n_window + 1, n_window
     m = n_window + 1
-    return 2 * m * math.pi, 2 * m, m
+    return 2 * m, 2 * m, m
+
+
+def _scan_grid(cells: int) -> np.ndarray:
+    """The finest real-axis grid over [-cells pi, cells pi], step _SCAN_STEP.
+
+    Its size comes from integers, so every _COARSE_STRIDE-th point is a
+    multiple of pi.
+    """
+    radius = cells * math.pi
+    return np.linspace(-radius, radius, 2 * cells * _COARSE_STRIDE + 1)
 
 
 def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
@@ -489,9 +506,13 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
 
     Roots inside the central disc are anchored by a winding count; the
     real-axis scan must find exactly as many sign changes, one per root, and
-    their sorted order then fixes the index of each.  Any other number of
-    sign changes raises SpectrumConsistencyError.  Indices beyond the
-    central window get their own certified window search.
+    their sorted order then fixes the index of each.  The scan starts on the
+    multiples of pi and halves its step over the whole interval while it
+    finds fewer sign changes than the count, down to _SCAN_STEP; each level
+    solves only the midpoints of the last, so the worst case costs the
+    finest grid once.  A shortfall at _SCAN_STEP, or a level with more sign
+    changes than the count, raises SpectrumConsistencyError.  Indices
+    beyond the central window get their own certified window search.
     """
     xi = _check_xi(xi)
     n_min, n_max = _check_index(n_min), _check_index(n_max)
@@ -499,7 +520,8 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
         raise BadArgumentError("n_min must not exceed n_max")
     ws = _workspace_for(p, q, workspace)
     n_window = min(max(2, abs(n_min), abs(n_max)) + 1, 8)
-    radius, expected, offset = _central_geometry(xi, n_window)
+    cells, expected, offset = _central_geometry(xi, n_window)
+    radius = cells * math.pi
     counted = count_zeros_disc(p, q, xi, 0.0, radius, cfg, ws)
     if counted != expected:
         raise SpectrumConsistencyError(
@@ -508,10 +530,16 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
             counted=counted,
         )
     f = _root_fn(p, q, xi, cfg, ws)
-    m_samples = int(math.ceil(2.0 * radius / _SCAN_STEP)) + 1
-    grid = np.linspace(-radius, radius, m_samples)
-    vals = [f(float(k)) for k in grid]
-    brackets = _sign_changes(vals)
+    grid = _scan_grid(cells)
+    stride = _COARSE_STRIDE
+    vals = np.empty(len(grid))
+    vals[::stride] = [f(float(k)) for k in grid[::stride]]
+    brackets = _sign_changes(vals[::stride])
+    while len(brackets) < expected and stride > 1:
+        stride //= 2
+        vals[stride::2 * stride] = [f(float(k))
+                                    for k in grid[stride::2 * stride]]
+        brackets = _sign_changes(vals[::stride])
     if len(brackets) != expected:
         raise SpectrumConsistencyError(
             "real-axis roots disagree with the central winding count",
@@ -523,8 +551,9 @@ def spectrum_scan(p: Measure, q: Measure, xi, n_min, n_max,
     out: list[Eigenpair] = []
     for n, i in enumerate(brackets, start=-offset):
         if n_min <= n <= n_max:
-            k = _refine_bracket(f, float(grid[i]), float(grid[i + 1]),
-                                vals[i], vals[i + 1], _BISECT_TOL)
+            lo, hi = i * stride, (i + 1) * stride
+            k = _refine_bracket(f, float(grid[lo]), float(grid[hi]),
+                                float(vals[lo]), float(vals[hi]), _BISECT_TOL)
             out.append(eigenfunction(p, q, xi, k**3, n=n, cfg=cfg,
                                      workspace=ws))
     covered_lo = -offset

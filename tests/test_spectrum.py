@@ -1,6 +1,7 @@
 """Spectrum module tests against closed forms and matrix-exponential oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,9 +449,11 @@ def _stub_characteristic(monkeypatch, roots):
     """y1(1, lambda) = h(k) for the real polynomial h with these k-roots.
 
     h has real coefficients, so Delta_2 = 2 h along the whole contour.
+    k is the signed real cube root on the real axis, as on the scan grid.
     """
     def stub(p, q, lam, *args, **kwargs):
-        k = cube_root(lam)
+        lam = complex(lam)
+        k = np.cbrt(lam.real) if lam.imag == 0.0 else cube_root(lam)
         return complex(np.prod([k - r for r in roots]))
 
     monkeypatch.setattr(spectrum, "solve_value", stub)
@@ -624,3 +627,122 @@ def test_scan_refuses_a_real_axis_shortfall(monkeypatch):
         spectrum_scan(Z, Z, 1, -2, 2)
     assert err.value.context["expected"] == 7
     assert err.value.context["located"] == 6
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine real-axis scan
+
+
+@pytest.mark.parametrize("xi", [1, 2])
+@pytest.mark.parametrize("n_window", range(3, 9))
+def test_scan_grid_size_comes_from_integers(xi, n_window):
+    # ceil(2 R / step) + 1 gave 210 points at xi = 1, n_window = 6, where
+    # 2 R / step = 208.00000000000003, and a step of 26 pi / 209
+    cells, expected, _ = spectrum._central_geometry(xi, n_window)
+    assert cells == expected
+    grid = spectrum._scan_grid(cells)
+    radius = cells * math.pi
+    assert len(grid) - 1 == 16 * cells
+    assert (grid[0], grid[-1]) == (-radius, radius)
+    assert np.allclose(np.diff(grid), spectrum._SCAN_STEP, rtol=1e-12, atol=0)
+    coarse = grid[::8]
+    lattice = math.pi * np.arange(-cells, cells + 1)
+    assert np.max(np.abs(coarse - lattice)) <= 4 * spectrum._EPS * radius
+
+
+# 8 roots in (-8 pi, 8 pi), in units of pi; 2.2 and 2.7 share the coarse
+# cell (2 pi, 3 pi) but not a cell of the grid of step pi / 2
+CLOSE_ROOTS = (-7.3, -5.3, -3.3, -1.3, 0.7, 2.2, 2.7, 5.3)
+APART_ROOTS = (-7.3, -5.3, -3.3, -1.3, 0.7, 2.2, 3.7, 5.3)
+
+
+def _stub_scan(monkeypatch, roots_over_pi):
+    """Level sizes and grid points solved by an xi = 2, n = -2..2 scan of
+    the stub characteristic with these roots, which it must return.
+
+    Off the real axis the stub takes the principal cube root, so its
+    central contour does not close: the winding count is set to 8.
+    """
+    roots = sorted(r * math.pi for r in roots_over_pi)
+    _stub_characteristic(monkeypatch, roots)
+    monkeypatch.setattr(spectrum, "count_zeros_disc", lambda *args: 8)
+    monkeypatch.setattr(
+        spectrum, "eigenfunction",
+        lambda p, q, xi, lam, n=None, **kwargs: SimpleNamespace(
+            n=n, k=float(np.cbrt(lam))))
+    levels, solved, grid = [], [], []
+    real_root_fn, real_sign, real_refine = (
+        spectrum._root_fn, spectrum._sign_changes, spectrum._refine_bracket)
+
+    def root_fn(*args):
+        f = real_root_fn(*args)
+
+        def recorded(k):
+            solved.append(k)
+            return f(k)
+        return recorded
+
+    def sign_changes(vals):
+        levels.append(len(vals))
+        return real_sign(vals)
+
+    def refine(*args):
+        if not grid:
+            grid.extend(solved)
+        return real_refine(*args)
+
+    monkeypatch.setattr(spectrum, "_root_fn", root_fn)
+    monkeypatch.setattr(spectrum, "_sign_changes", sign_changes)
+    monkeypatch.setattr(spectrum, "_refine_bracket", refine)
+    pairs = spectrum_scan(Z, Z, 2, -2, 2)
+    assert [pair.n for pair in pairs] == [-2, -1, 0, 1, 2]
+    for pair in pairs:
+        assert abs(pair.k - roots[pair.n + 4]) <= 1e-12
+    return levels, grid
+
+
+def test_scan_halves_its_step_only_on_a_shortfall(monkeypatch):
+    # the coarse step pi sees 6 sign changes of 8, one halving sees all
+    levels, grid = _stub_scan(monkeypatch, CLOSE_ROOTS)
+    assert levels == [17, 33]
+    assert len(grid) == 17 + 16 == len(set(grid))
+    monkeypatch.undo()
+    levels, grid = _stub_scan(monkeypatch, APART_ROOTS)
+    assert levels == [17]
+    assert len(grid) == 17
+
+
+def test_scan_shortfall_solves_each_finest_point_once(monkeypatch):
+    # every level falls one short, so the scan halves down to step pi/8
+    # and solves each of its 129 points once: the old grid's cost
+    real = spectrum._sign_changes
+    monkeypatch.setattr(spectrum, "_sign_changes", lambda vals: real(vals)[1:])
+    solved = []
+    _stub_characteristic(monkeypatch, [r * math.pi for r in CLOSE_ROOTS])
+    stub = spectrum.solve_value
+
+    def recorded(p, q, lam, *args, **kwargs):
+        if not isinstance(lam, complex):
+            solved.append(lam)
+        return stub(p, q, lam, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_value", recorded)
+    monkeypatch.setattr(spectrum, "count_zeros_disc", lambda *args: 8)
+    with pytest.raises(SpectrumConsistencyError) as err:
+        spectrum_scan(Z, Z, 2, -2, 2)
+    assert err.value.context["expected"] == 8
+    assert err.value.context["located"] == 7
+    assert sorted(solved) == [float(k)**3 for k in spectrum._scan_grid(8)]
+
+
+@pytest.mark.parametrize("p, q, xi, cost", [
+    (ROADMAP_P, ROADMAP_Q, 1, 194),            # 284 on the fixed pi/8 grid
+    (ROADMAP_P, ATOM_Q, 2, 209),               # 314 on the fixed pi/8 grid
+])
+def test_scan_cost_and_agreement_with_window_search(monkeypatch, p, q, xi,
+                                                    cost):
+    runs = _count_engine_runs(monkeypatch)
+    scan = spectrum_scan(p, q, xi, -2, 2)
+    assert len(runs) == cost
+    for pair in scan:
+        assert abs(pair.k - find_eigenvalue(p, q, xi, pair.n).k) <= 2 * TOL
