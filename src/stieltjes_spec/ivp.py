@@ -420,7 +420,8 @@ class _Geometry:
         A density of p.scaled(-1.0) is the exact negation of p's, so the
         view conjugates rho_g, gw_rho, w_rho and the atom weights and shares
         every other array, budget_logs included.  It is built per solve and
-        cached nowhere; m_rho0 is left to be rebuilt.
+        cached nowhere; m_rho0 is left to be rebuilt.  The view of (p + dx, q)
+        at -lambda - 1 solves (-p, q) at -lambda: the shift identity, c = -1.
         """
         view = object.__new__(_Geometry)
         view.__dict__.update(self.__dict__)
@@ -483,10 +484,7 @@ class Workspace:
                 parent = self.geometry(shift_c, n_uniform, level - 1)
                 self._cache[key] = parent.refined()
             else:
-                p_eff = (
-                    self.p if shift_c == 0.0
-                    else self.p.plus(Measure.lebesgue(shift_c))
-                )
+                p_eff = self.p.plus(Measure.lebesgue(shift_c)) if shift_c else self.p
                 self._cache[key] = _Geometry(p_eff, self.q, self._base_edges(n_uniform))
         return self._cache[key]
 
@@ -942,13 +940,14 @@ def _iterate_on_level(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
                       level: int, mirror: bool = False):
     """Run the engine once per initial triple on the given refinement level.
 
-    mirror solves (-p, q) on the conjugated view of ws's geometry.
+    mirror solves (-p, q) at -conj(lam) on the conjugated view of ws's geometry.
     """
     lam_eff, shift_c = _effective(lam)
     n_uni = _n_uniform(cfg, cube_root(lam_eff))
     geo = ws.geometry(shift_c, n_uni, level)
     if mirror:
         geo = geo.conjugated()
+        lam_eff = -lam_eff.conjugate()
     eng = _Engine(geo, lam_eff, cfg)
     return eng, [eng.iterate(t) for t in inits]
 
@@ -1022,11 +1021,10 @@ def solve_value(p: Measure, q: Measure, lam: complex, init: InitialTriple,
     cfg = cfg or SolverConfig()
     init = _initial(init)
     ws = _workspace_for(p, q, workspace)
-    lam_eff, shift_c = _effective(lam)
-    if ws.p.is_zero and ws.q.is_zero and shift_c == 0.0:
-        # the closed form is exact: no mesh, nothing to verify
-        _supported_root(lam_eff)
-        y1, y2, y3 = zero_potential_rows(lam_eff, [1.0])
+    if ws.p.is_zero and ws.q.is_zero:
+        # the closed form is exact, near 0 too: no mesh, nothing to verify
+        _supported_root(_finite_lambda(lam))
+        y1, y2, y3 = zero_potential_rows(lam, [1.0])
         return complex((init.y0 * y1 + init.z0 * y2 + init.w0 * y3)[0])
     if verify:
         _, results = _solve_verified(ws, lam, [init], cfg)
@@ -1040,16 +1038,14 @@ def _mirror_value(ws: Workspace, lam: float, init: InitialTriple,
     """Verified y(1) of the conjugated problem (-p, q) at -lam, for real lam.
 
     It equals solve_value(ws.p.scaled(-1.0), ws.q, -lam, init, cfg) on a
-    workspace with ws's breakpoints, but runs on ws's own meshes through
-    _Geometry.conjugated, so no mesh of (-p, q) is built or kept (a level
-    the direct solves never reached is built for (p, q) and cached as
-    usual).  Below _SHIFT_MIN the solve of (-p + dx) is no conjugate of that
-    of (p + dx), and the zero pair has its closed form: both keep the plain
-    solve.
+    workspace with ws's breakpoints, but runs on the _Geometry.conjugated
+    view of ws's meshes (of p + dx below _SHIFT_MIN: c = -1), building
+    only levels of (p, q) the direct solves never reached.  The zero pair,
+    its own mirror, takes the closed form.
     """
-    if abs(lam) < _SHIFT_MIN or (ws.p.is_zero and ws.q.is_zero):
-        return solve_value(ws.p.scaled(-1.0), ws.q, -lam, init, cfg)
-    _, results = _solve_verified(ws, -lam, [init], cfg or SolverConfig(), mirror=True)
+    if ws.p.is_zero and ws.q.is_zero:
+        return solve_value(ws.p, ws.q, -lam, init, cfg, ws)
+    _, results = _solve_verified(ws, lam, [init], cfg or SolverConfig(), mirror=True)
     return complex(results[0][1][-1])
 
 

@@ -73,6 +73,7 @@ _COARSE_STRIDE = round(math.pi / _SCAN_STEP)  # fine steps per coarse step pi
 # evaluations a bracket refinement may spend beyond plain bisection
 _SPARE_STEPS = 4
 _BISECT_TOL = 1e-12  # k-width at which root brackets and tracking stop
+_MAX_DRIFT = 0.3  # k-distance a tracked root may move from its start
 _CONTOUR_POINTS = 64  # on a centered counting contour, before doubling
 _CONTOUR_DOUBLINGS = 3  # per contour radius, before a radius bump
 _EPS = float(np.finfo(float).eps)
@@ -319,7 +320,7 @@ def _refine_bracket(f, lo, hi, f_lo, f_hi, tol):
                           lo=lo, hi=hi, k=b, width=abs(c - b))
 
 
-def _track_root(f, k_start, max_drift=0.3):
+def _track_root(f, k_start):
     """Secant iteration from a known nearby root; raises on a tracking jump.
 
     The first secant runs through k_start and a point a relative 1e-5 away;
@@ -336,7 +337,7 @@ def _track_root(f, k_start, max_drift=0.3):
                                   k=k1)
         step = -f1 / slope
         k_new = k1 + step
-        if abs(k_new - k_start) > max_drift:
+        if abs(k_new - k_start) > _MAX_DRIFT:
             raise RootSearchError(
                 "root tracking jumped out of its window",
                 k_start=k_start, k=k_new,

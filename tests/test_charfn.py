@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes_spec.errors import BadArgumentError
+from stieltjes_spec import charfn
+from stieltjes_spec.errors import BadArgumentError, ConjugateMismatchError
 from stieltjes_spec.measure import Measure
 from stieltjes_spec import ivp
 from stieltjes_spec.charfn import RealSplit, boundary_matrix, delta, real_split
@@ -100,6 +101,21 @@ def test_delta_conjugation_symmetry():
     assert abs(d2c - d2.conjugate()) <= 1e-8 * max(1.0, abs(d2))
 
 
+def test_delta_refuses_routes_that_disagree(monkeypatch):
+    # the one-solve route pushed 1e-6 relative off the determinant route
+    one_solve = charfn._one_solve
+    monkeypatch.setattr(charfn, "_one_solve",
+                        lambda *args: one_solve(*args) * (1.0 + 1e-6))
+    p = Measure.from_density(0.2, 0.8, (0.3, 0.1))
+    q = Measure.point(0.5, 0.9)
+    with pytest.raises(ConjugateMismatchError) as err:
+        delta(p, q, 45.0 + 17.0j, 1)
+    assert err.value.exit_code == 4
+    context = err.value.context
+    assert {"det_route", "one_solve_route", "gap"} <= set(context)
+    assert context["gap"] == abs(context["det_route"] - context["one_solve_route"])
+
+
 def test_boundary_matrix_entries_are_canonical_columns():
     q = Measure.from_density(0.25, 0.75, (1.2,))
     lam = 33.0
@@ -147,18 +163,24 @@ MIRROR_PAIRS = {
 
 @pytest.mark.parametrize("name,lam", [
     ("zero", 500.0), ("zero", 0.015),
-    ("atomic", 300.0), ("atomic", -4e4), ("atomic", -0.02),
-    ("roadmap", 64.0), ("roadmap", -2e5), ("roadmap", 0.01),
+    ("atomic", 300.0), ("atomic", -4e4), ("atomic", -0.02), ("atomic", 0.0),
+    ("roadmap", 64.0), ("roadmap", -2e5), ("roadmap", 0.01), ("roadmap", -0.015),
 ])
 def test_mirror_solve_shares_the_direct_mesh_bit_for_bit(name, lam, monkeypatch):
     """The conjugation residue is the one a fresh (-p, q) solve gives.
 
     real_split and eigenfunction compare y1(1, lambda) with one solve of
-    the conjugated problem; above _SHIFT_MIN it runs on the direct pair's
-    meshes, building no geometry and caching nothing.
+    the conjugated problem; it runs on the direct pair's meshes, building
+    no geometry and caching nothing.  Below _SHIFT_MIN those meshes are of
+    (p + dx, q), and the mirror is the fresh solve of (-p - dx, q) at
+    -lambda - 1; the zero pair takes its closed form at every lambda.
     """
     p, q = MIRROR_PAIRS[name]
-    mirror = solve_value(p.scaled(-1.0), q, -lam, E1, SolverConfig())
+    if abs(lam) < ivp._SHIFT_MIN and not p.is_zero:
+        mirror = solve_value(p.plus(Measure.lebesgue(1.0)).scaled(-1.0), q,
+                             -lam - 1.0, E1, SolverConfig())
+    else:
+        mirror = solve_value(p.scaled(-1.0), q, -lam, E1, SolverConfig())
 
     def residue(v1):
         return abs(v1 - mirror.conjugate()) / max(1.0, abs(v1))
@@ -181,6 +203,5 @@ def test_mirror_solve_shares_the_direct_mesh_bit_for_bit(name, lam, monkeypatch)
     cached = len(ws._cache)
     builds.clear()
     assert real_split(p, q, lam, workspace=ws) == split
-    if abs(lam) >= ivp._SHIFT_MIN:
-        assert not builds
+    assert not builds
     assert len(ws._cache) == cached

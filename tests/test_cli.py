@@ -261,6 +261,17 @@ def test_lab_solcont_gap(capsys, tmp_path):
     assert float(rows[1][1]) < float(rows[0][1])
 
 
+@pytest.mark.parametrize("family", ["ramp", "ramp-vs-atom"])
+def test_lab_solcont_ramp_families(family, capsys, tmp_path):
+    out_file = tmp_path / "sc.csv"
+    assert main(["lab", "solcont", "--p", "atom:0.5:1", "--q", "zero",
+                 "--family", family, "--m", "10,100", "--lambda", "64",
+                 "--out", str(out_file)]) == 0
+    assert "verdict: true" in capsys.readouterr().out
+    _, columns, rows = _read_table(out_file)
+    assert len(rows) == 2
+
+
 def test_lab_bounds_seeded(capsys, tmp_path):
     out_file = tmp_path / "bounds.csv"
     assert main(["lab", "bounds", "--lambda", "64,1000", "--seed", "7",

@@ -49,6 +49,21 @@ def test_ramp_to_atom_in_q():
     assert rep.errors[-1] < 0.1
 
 
+def test_weakstar_records_a_refused_index_as_nan():
+    # a constant density 240 in p exceeds what the Picard tail bound
+    # certifies: that m gives a NaN entry and a false verdict, not an abort
+    def builder(m):
+        if m == 20:
+            return Measure.from_density(0.0, 1.0, (240.0,))
+        return ramp_sequence(m)
+
+    rep = weakstar_eig(builder, (10, 20, 10), HALF_ATOM, Measure.zero(), 1, 1)
+    v = find_eigenvalue(ramp_sequence(10), Measure.zero(), 1, 1).lam
+    assert rep.values[0] == rep.values[2] == v
+    assert math.isnan(rep.values[1]) and math.isnan(rep.errors[1])
+    assert not rep.verdict
+
+
 def test_weakstar_rejects_bad_input():
     with pytest.raises(BadArgumentError):
         weakstar_eig(ramp_sequence, (10,), HALF_ATOM, Measure.zero(), 1, 1,

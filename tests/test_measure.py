@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes_spec.errors import MeasureFormatError, MeasureParseError
+from stieltjes_spec import measure
+from stieltjes_spec.errors import MeasureFormatError, MeasureParseError, QuadratureError
 from stieltjes_spec.measure import (
     Atom,
     Measure,
@@ -152,6 +153,36 @@ def test_ls_integral_random_vs_riemann():
         g = lambda t: np.exp(np.sin(4.0 * t))
         oracle = piecewise_midpoint(mu, g)
         assert abs(ls_integral(g, mu, 1.0) - oracle) < 1e-7
+
+
+def test_ls_integral_bisects_toward_a_kink(monkeypatch):
+    # |t - 0.3| is not smooth at 0.3: the 10-point rule meets the tolerance
+    # only on cells bisected down toward the kink
+    depths = []
+    adaptive = measure._adaptive_piece_integral
+
+    def recorded(g, piece, a, b, tol, depth=0):
+        depths.append(depth)
+        return adaptive(g, piece, a, b, tol, depth)
+
+    monkeypatch.setattr(measure, "_adaptive_piece_integral", recorded)
+    val = ls_integral(lambda t: np.abs(t - 0.3), Measure.lebesgue(), 1.0)
+    assert abs(val - 0.29) < 1e-10
+    assert max(depths) == 23
+
+
+def test_ls_integral_takes_a_scalar_only_integrand():
+    # math.exp refuses an array: the nodes are then evaluated one by one;
+    # the integral of e^t t over [0, 1) is 1
+    mu = Measure.from_density(0.0, 1.0, (0.0, 1.0))
+    assert abs(ls_integral(math.exp, mu, 1.0) - 1.0) < 1e-12
+
+
+def test_ls_integral_refuses_a_step_integrand():
+    # a jump at 0.3 never lands on a bisection point, so the error of its
+    # cell stays near the cell width and the depth guard refuses the sum
+    with pytest.raises(QuadratureError, match="stuck"):
+        ls_integral(lambda t: np.where(t < 0.3, 0.0, 1.0), Measure.lebesgue(), 1.0)
 
 
 def test_ramp_unit_mass_and_weak_star_moment():

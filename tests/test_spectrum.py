@@ -249,9 +249,12 @@ def test_eigenfunction_rejects_bad_xi():
 def test_scan_first_pairing_lattice():
     scan = spectrum_scan(Z, Z, 1, -2, 2)
     assert [e.n for e in scan] == [-2, -1, 0, 1, 2]
+    # the zero pair's closed form is exact near lambda = 0, so the triple
+    # root at k = 0 comes out exact
+    assert abs(find_eigenvalue(Z, Z, 1, 0).k) <= 1e-12
     for e in scan:
         if e.n == 0:
-            assert abs(e.lam) < 1e-12
+            assert e.k == 0.0
         else:
             assert e.k == pytest.approx(2 * e.n * math.pi, abs=1e-9)
         assert e.g_mult == 1
@@ -422,9 +425,9 @@ def test_root_search_solve_counts(monkeypatch):
 
 
 def test_track_root_guards():
-    # the first secant step lands on the root at 1, outside max_drift
+    # the first secant step lands on the root at 1, outside _MAX_DRIFT
     with pytest.raises(RootSearchError, match="jumped") as err:
-        _track_root(lambda k: k - 1.0, 0.0, max_drift=0.3)
+        _track_root(lambda k: k - 1.0, 0.0)
     assert err.value.context["k_start"] == 0.0
     assert err.value.context["k"] == pytest.approx(1.0)
     for value in (2.0, math.nan, math.inf):
