@@ -25,7 +25,6 @@ boundary pairing lives in charfn, root location in spectrum.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -311,11 +310,11 @@ def _interior_atoms(p: Measure, q: Measure) -> list[tuple[float, complex]]:
             for x_a in sorted({a.x for a in p.atoms + q.atoms if a.x > 0})]
 
 
-def _edge_index(edges: np.ndarray, x: float, what: str) -> int:
-    """Index of the mesh edge at x; what names the point if there is none."""
+def _edge_index(edges: np.ndarray, x: float) -> int:
+    """Index of the mesh edge at the atom x."""
     idx = int(np.searchsorted(edges, x))
     if idx >= len(edges) or abs(edges[idx] - x) > 1e-13:
-        raise BadArgumentError(f"{what} at {x} is not a mesh edge")
+        raise BadArgumentError(f"atom at {x} is not a mesh edge")
     return idx
 
 
@@ -341,7 +340,11 @@ class _Geometry:
         self.picard_budget = picard_budget
         h, centers, self.tg, self.gw = _gauss_cells(edges)
         if np.any(h <= 0):
-            raise BadArgumentError("mesh edges must be strictly increasing")
+            # refinement halves a cell of one ulp into a zero-width one
+            x = float(edges[np.argmax(h <= 0)])
+            raise BadArgumentError(
+                f"mesh edges must be strictly increasing: the cell at {x!r} "
+                f"has no width", x=x)
         self.n = len(h)
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
@@ -362,7 +365,7 @@ class _Geometry:
             q.density_many(flat) + 1j * p.density_many(flat)
         ).reshape(self.tau.shape)
         # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
-        self.atoms = [(_edge_index(edges, x_a, "atom"), x_a, d_mu)
+        self.atoms = [(_edge_index(edges, x_a), x_a, d_mu)
                       for x_a, d_mu in _interior_atoms(p, q)]
 
     @cached_property
@@ -821,28 +824,19 @@ class SolutionPath:
     Gauss values.
     """
 
-    def __init__(self, lam, init, geo, node, edge, n_terms, extra_jumps=()):
+    def __init__(self, lam, init, geo, node, edge, n_terms):
         self.lam = complex(lam)
         self.init = init
         self.nodes = geo.edges
         self.node = node
         self.edge = edge
         self.y, self.yprime, self.w_post = edge
-        deltas: dict[int, complex] = {}
-        locs: dict[int, float] = {}
-        for idx, x_a, d_mu in geo.atoms:
-            deltas[idx] = deltas.get(idx, 0.0) - self.y[idx] * d_mu.conjugate()
-            locs[idx] = x_a
-        for idx, x_a, delta in extra_jumps:
-            deltas[idx] = deltas.get(idx, 0.0) + delta
-            locs[idx] = x_a
-        w_pre = self.w_post.copy()
-        jumps = []
-        for idx, delta in sorted(deltas.items()):
-            w_pre[idx] = self.w_post[idx] - delta
-            jumps.append((locs[idx], complex(delta)))
-        self.w_pre = w_pre
-        self.jumps = jumps
+        self.w_pre = self.w_post.copy()
+        self.jumps = []
+        for idx, x_a, d_mu in geo.atoms:  # one atom per edge, by increasing x
+            delta = 0.0 - self.y[idx] * d_mu.conjugate()
+            self.w_pre[idx] = self.w_post[idx] - delta
+            self.jumps.append((x_a, complex(delta)))
         self.n_terms = n_terms
 
     # -- boundary accessors ----------------------------------------------
@@ -1053,15 +1047,19 @@ def _mirror_value(ws: Workspace, lam: float, init: InitialTriple,
 # transfer solver for purely atomic coefficients
 
 
-def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
+def _propagator(q_c: float, lam: complex, s) -> np.ndarray:
     """exp(s A) for A = [[0,1,0],[0,0,1],[-i lam, -2 q_c, 0]].
 
-    Separated characteristic roots take the Lagrange-Sylvester sum, crowded
-    ones (repeated included) scaling and squaring, which does not break down
-    as roots merge (Moler and Van Loan, SIAM Review 45, 2003), on
-    D^-1 A D with D = diag(1, rho, rho^2): its entries are of the root scale
-    rho, so it needs fewer squarings than A, whose largest entry is |lam|.
+    s is a scalar, giving (3, 3), or an array, giving s.shape + (3, 3); the
+    roots are found and polished once per call.  Separated characteristic
+    roots take the Lagrange-Sylvester sum of e^(r s) P_r over the roots r,
+    its three projectors P_r formed once.  Crowded ones (repeated included) take
+    scaling and squaring at each s, which does not break down as roots
+    merge (Moler and Van Loan, SIAM Review 45, 2003), on D^-1 A D with
+    D = diag(1, rho, rho^2): its entries are of the root scale rho, so it
+    needs fewer squarings than A, whose largest entry is |lam|.
     """
+    s = np.asarray(s, dtype=float)
     A = np.array([[0, 1, 0], [0, 0, 1], [-1j * lam, -2.0 * q_c, 0]], dtype=complex)
     roots = np.roots([1.0, 0.0, 2.0 * q_c, 1j * lam])
     for _ in range(3):  # Newton polish of np.roots output
@@ -1074,22 +1072,24 @@ def _propagator(q_c: float, lam: complex, s: float) -> np.ndarray:
                abs(roots[1] - roots[2]))
     if dmin < _CROWDED * scale:
         d = np.array([1.0, scale, scale * scale])
-        return _expm_taylor(s * (A * d / d[:, None])) * (d[:, None] / d)
+        balanced = A * d / d[:, None]
+        out = np.array([_expm_taylor(t * balanced) for t in s.ravel()])
+        return out.reshape(s.shape + (3, 3)) * (d[:, None] / d)
     eye = np.eye(3, dtype=complex)
-    out = np.zeros((3, 3), dtype=complex)
+    proj = np.empty((3, 3, 3), dtype=complex)
     for j in range(3):
-        term = eye * cmath.exp(roots[j] * s)
+        term = eye
         for l in range(3):
             if l != j:
                 term = term @ (A - roots[l] * eye) / (roots[j] - roots[l])
-        out += term
-    return out
+        proj[j] = term
+    return np.einsum("...j,jab->...ab", np.exp(np.multiply.outer(s, roots)), proj)
 
 
 def _expm_taylor(m: np.ndarray) -> np.ndarray:
     """exp(m) for a small matrix by Taylor series with scaling and squaring."""
     norm = float(np.max(np.sum(np.abs(m), axis=1)))
-    halvings = max(0, math.ceil(math.log2(4.0 * norm)))
+    halvings = max(0, math.ceil(math.log2(4.0 * norm))) if norm > 0.0 else 0
     x = m / 2.0**halvings
     term = np.eye(len(m), dtype=complex)
     out = term.copy()
@@ -1105,11 +1105,12 @@ def _expm_taylor(m: np.ndarray) -> np.ndarray:
 class TransferPath(SolutionPath):
     """Exact path for purely atomic (p, q), propagated segment by segment.
 
-    Holds the post-jump state at each segment start (0 and every interior
-    atom) and propagates from the nearest start to any point; the edge
-    arrays sample a uniform 129-point grid joined with the atoms.  It has
-    no mesh, so it fills the public attributes itself instead of calling
-    the mesh constructor.
+    Holds the drift q_c and the post-jump state at each segment start (0
+    and every interior atom), and propagates each segment's points from its
+    start with one _propagator call; a point at a start returns the stored
+    state.  The edge arrays sample a uniform 129-point grid joined with the
+    atoms.  It has no mesh, so it fills the public attributes itself
+    instead of calling the mesh constructor.
     """
 
     def __init__(self, p: Measure, q: Measure, lam: complex,
@@ -1117,45 +1118,44 @@ class TransferPath(SolutionPath):
         self.lam = complex(lam)
         self.init = init
         self.n_terms = 0
-        self._q = q
         atoms = _interior_atoms(p, q)
         atom_xs = [x_a for x_a, _ in atoms]
         self._starts = np.array([0.0] + atom_xs)
-        self._states = []
+        ends = atom_xs + [1.0]
+        self._q_c = [q.drift(0.5 * (start + end))
+                     for start, end in zip(self._starts, ends)]
+        self._states = np.empty((len(ends), 3), dtype=complex)
         state = init.as_vector()
-        for i, start in enumerate(self._starts):
+        for i, (start, end) in enumerate(zip(self._starts, ends)):
             if i > 0:
-                state = state.copy()
                 state[2] -= state[0] * atoms[i - 1][1].conjugate()
-            self._states.append(state)
-            end = self._starts[i + 1] if i + 1 < len(self._starts) else 1.0
+            self._states[i] = state
             if end > start:
-                q_c = q.drift(0.5 * (start + end))
-                state = _propagator(q_c, self.lam, end - start) @ state
+                state = _propagator(self._q_c[i], self.lam, end - start) @ state
         self.nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 129)) | set(atom_xs)))
-        post = np.array([self._state(float(x), "right") for x in self.nodes])
-        self.edge = post.T.copy()
+        self.edge = self._state(self.nodes, "right").T.copy()
         self.y, self.yprime, self.w_post = self.edge
         self.w_pre = self.w_post.copy()
-        self.jumps = []
-        for i, x in enumerate(self.nodes):
-            if x in atom_xs:
-                self.w_pre[i] = self._state(float(x), "left")[2]
-                self.jumps.append((float(x), complex(self.w_post[i] - self.w_pre[i])))
+        at = np.searchsorted(self.nodes, atom_xs)
+        self.w_pre[at] = self._state(self.nodes[at], "left")[:, 2]
+        self.jumps = [(x_a, complex(self.w_post[i] - self.w_pre[i]))
+                      for i, x_a in zip(at, atom_xs)]
 
-    def _state(self, x: float, side: str) -> np.ndarray:
-        i = int(np.searchsorted(self._starts, x, side="right")) - 1
-        if side == "left" and i > 0 and self._starts[i] == x:
-            i -= 1
-        start = self._starts[i]
-        if x == start:
-            return self._states[i]
-        q_c = self._q.drift(0.5 * (start + x))
-        return _propagator(q_c, self.lam, x - start) @ self._states[i]
+    def _state(self, xs: np.ndarray, side: str) -> np.ndarray:
+        """(y, y', w) at the points xs, shape (len(xs), 3)."""
+        seg = np.searchsorted(self._starts, xs, side="right") - 1
+        if side == "left":  # an atom's left limit ends the segment before it
+            seg -= (seg > 0) & (self._starts[seg] == xs)
+        s = xs - self._starts[seg]
+        out = self._states[seg]
+        moving = s > 0
+        for i in np.unique(seg[moving]):
+            hit = moving & (seg == i)
+            out[hit] = _propagator(self._q_c[i], self.lam, s[hit]) @ self._states[i]
+        return out
 
     def _values(self, channel: int, xs: np.ndarray, side: str) -> np.ndarray:
-        return np.array([self._state(float(x), side)[channel] for x in xs],
-                        dtype=complex)
+        return self._state(xs, side)[:, channel]
 
 
 def solve_transfer(p: Measure, q: Measure, lam: complex,
@@ -1169,7 +1169,7 @@ def solve_transfer(p: Measure, q: Measure, lam: complex,
 
 
 # ---------------------------------------------------------------------------
-# fundamental matrix and inhomogeneous solve
+# fundamental matrix
 
 
 _CANONICAL = (
@@ -1228,88 +1228,3 @@ def _adjugate_column3(y_rows, yp_rows):
     """
     return np.stack([y_rows[..., a] * yp_rows[..., b] - y_rows[..., b] * yp_rows[..., a]
                      for a, b in _ADJ_PAIRS], axis=-1)
-
-
-def _adjugate_size(y_rows, yp_rows):
-    """|y_a z_b| + |y_b z_a| for each entry of _adjugate_column3: the size
-    its rounding scales with."""
-    return np.stack([np.abs(y_rows[..., a] * yp_rows[..., b])
-                     + np.abs(y_rows[..., b] * yp_rows[..., a])
-                     for a, b in _ADJ_PAIRS], axis=-1)
-
-
-def solve_inhomogeneous(p: Measure, q: Measure, lam: complex,
-                        init: InitialTriple, h, nu: Measure,
-                        cfg: SolverConfig | None = None) -> SolutionPath:
-    """Variation of constants: N(x) (init + int_[0,x] N^{-1} (0,0,h)^T dnu).
-
-    The forcing integral runs over the closed interval, so an atom of nu at 0
-    offsets the state immediately.  w jumps by h(a) nu{a} at atoms of nu and
-    by the usual -y(a) (dq{a} - i dp{a}) at atoms of the coefficients.
-
-    y is a sum of products of growing columns of N and of its adjugate, so
-    at large |lambda| it cancels digits.  The rounding is estimated as
-        eps sum_j |N_0j(x)| (|init_j| + int_[0,x] s_j |h| d|nu|),
-    with s_j the size of the j-th adjugate entry (_adjugate_size), at every
-    node and edge.  Where it exceeds tol max(1, max |y|), NumericalError is
-    raised (context: lam, the estimate relative to that scale, tol).
-    """
-    init = _initial(init)
-    ws = Workspace(p, q, extra_breakpoints=nu.breakpoints())
-    fp = FundamentalPath(p, q, lam, cfg, ws)
-    geo = fp._geo
-    tg, edges = geo.tg, geo.edges
-    # rows[c, ..., j] is channel c of the j-th canonical column
-    rows_n = np.stack([c.node for c in fp.columns], axis=-1)
-    rows_e = np.stack([c.edge for c in fp.columns], axis=-1)
-
-    h_node = np.asarray([h(float(t)) for t in tg.ravel()], dtype=complex)
-    h_node = h_node.reshape(tg.shape)
-    h_edge = np.asarray([h(float(x)) for x in edges], dtype=complex)
-    atoms, extra_jumps = [], []
-    for a in nu.atoms:
-        idx = _edge_index(edges, a.x, "forcing atom")
-        atoms.append((idx, a.w))
-        if a.x > 0:
-            extra_jumps.append((idx, a.x, a.w * complex(h_edge[idx])))
-    density = nu.density_many(tg.ravel()).reshape(tg.shape)
-    tau_rho = nu.density_many(geo.tau.reshape(-1)).reshape(geo.tau.shape)
-
-    def integrals(g_node, g_edge, dens_node, dens_sub, masses):
-        """int_[0,x] g dm per component, (n, 6, 3) at nodes and (n+1, 3) at
-        edges, for the measure m with these densities at the nodes and
-        sub-nodes and these (edge index, mass) atoms."""
-        moments = _partial_moments(geo.w_plain * dens_sub)
-        cols = [geo.prefix(g_node[..., comp], geo.gw * dens_node, moments,
-                           [(idx, w * g_edge[idx, comp]) for idx, w in masses])
-                for comp in range(3)]
-        return (np.stack([c[0] for c in cols], axis=-1),
-                np.stack([c[1] for c in cols], axis=-1))
-
-    j_node, j_edge = integrals(
-        _adjugate_column3(rows_n[0], rows_n[1]) * h_node[..., None],
-        _adjugate_column3(rows_e[0], rows_e[1]) * h_edge[..., None],
-        density, tau_rho, atoms)
-    vec = init.as_vector()
-    node = np.einsum("ciaj,iaj->cia", rows_n, vec + j_node)
-    edge = np.einsum("cej,ej->ce", rows_e, vec + j_edge)
-
-    s_node, s_edge = integrals(
-        _adjugate_size(rows_n[0], rows_n[1]) * np.abs(h_node)[..., None],
-        _adjugate_size(rows_e[0], rows_e[1]) * np.abs(h_edge)[..., None],
-        np.abs(density), np.abs(tau_rho), [(idx, abs(w)) for idx, w in atoms])
-    size = np.abs(vec)
-    rounding = _EPS * max(
-        float(np.max(np.einsum("iaj,iaj->ia", np.abs(rows_n[0]), size + s_node.real))),
-        float(np.max(np.einsum("ej,ej->e", np.abs(rows_e[0]), size + s_edge.real))))
-    estimate = rounding / max(1.0, float(np.max(np.abs(node[0]))),
-                              float(np.max(np.abs(edge[0]))))
-    tol = fp.cfg.tol
-    if estimate > tol:
-        raise NumericalError(
-            f"variation of constants cancels digits: rounding estimate "
-            f"{estimate:.3g} relative exceeds tolerance {tol:.3g}",
-            lam=complex(lam), estimate=estimate, tol=tol)
-    return SolutionPath(lam, init, geo, node, edge,
-                        max(c.n_terms for c in fp.columns),
-                        extra_jumps=extra_jumps)

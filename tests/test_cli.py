@@ -105,6 +105,18 @@ def test_malformed_measure_file_exits_2(capsys, tmp_path):
     assert err["exit"] == 2
 
 
+def test_atoms_one_ulp_apart_exit_2(capsys, tmp_path):
+    # the refined mesh halves their cell into one of no width
+    upper = math.nextafter(0.3, 1.0)
+    f = tmp_path / "close.json"
+    f.write_text(Measure.point(0.3, 1.0).plus(Measure.point(upper, 1.0)).to_json())
+    assert main(["solve", "--p", str(f), "--lambda", "64"]) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "BAD_ARGUMENT"
+    assert err["message"].startswith("mesh edges must be strictly increasing")
+    assert repr(upper) in err["message"]
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--lambda", "1"],
     ["eig", "--bc", "1", "--n-min", "1", "--n-max", "1"],

@@ -29,7 +29,6 @@ from stieltjes_spec.ivp import (
     Workspace,
     cube_root,
     fundamental_matrix,
-    solve_inhomogeneous,
     solve_picard,
     solve_transfer,
     solve_value,
@@ -344,44 +343,6 @@ def test_growth_envelope_bounds_zero_potential_row():
         assert abs(y3) <= cap / abs(k) ** 2
 
 
-def test_inhomogeneous_cubic_forcing():
-    # p=q=0, lambda=0, h=1, nu=Lebesgue: the state integrates to x^3/6
-    sol = solve_inhomogeneous(Measure.zero(), Measure.zero(), 0.0,
-                              InitialTriple(0, 0, 0), lambda t: 1.0,
-                              Measure.lebesgue())
-    assert abs(sol.y_at_one - 1.0 / 6.0) < 1e-10
-    assert abs(sol.yprime_at_one - 0.5) < 1e-10
-    assert abs(sol.w_at_one - 1.0) < 1e-10
-    x = 0.62
-    assert abs(sol.eval_y(x) - x**3 / 6.0) < 1e-10
-
-
-def test_inhomogeneous_zero_forcing_is_homogeneous():
-    q = Measure.from_density(0.2, 0.8, (0.4, 0.3))
-    a = solve_inhomogeneous(Measure.zero(), q, 4.0, InitialTriple(1, 2, 3),
-                            lambda t: 0.0, Measure.lebesgue())
-    b = solve_picard(Measure.zero(), q, 4.0, InitialTriple(1, 2, 3))
-    for x in (0.0, 0.33, 0.71, 1.0):
-        assert abs(a.eval_y(x) - b.eval_y(x)) < 1e-11
-        assert abs(a.eval_w(x) - b.eval_w(x)) < 1e-10
-
-
-def test_inhomogeneous_atomic_forcing_jump():
-    # w jumps by h(a) * nu{a}; downstream the state follows the fundamental
-    # matrix applied to the shifted coefficient vector
-    nu = Measure.point(0.4, 2.0)
-    h = lambda t: t
-    sol = solve_inhomogeneous(Measure.zero(), Measure.zero(), 0.0,
-                              InitialTriple(0, 0, 0), h, nu)
-    idx = int(np.searchsorted(sol.nodes, 0.4))
-    assert abs((sol.w_post[idx] - sol.w_pre[idx]) - 0.8) < 1e-12
-    assert abs(sol.eval_y(0.4)) < 1e-12
-    # beyond the atom: y(x) = 0.8 * (x - 0.4)^2 / 2
-    for x in (0.6, 1.0):
-        assert abs(sol.eval_y(x) - 0.4 * (x - 0.4) ** 2) < 1e-11
-    assert sol.jumps == [(0.4, pytest.approx(0.8))]
-
-
 def _projector_matrices(p, q, lam, xs):
     """N(x) at the points xs for purely atomic (p, q), shape (len(xs), 3, 3).
 
@@ -435,48 +396,6 @@ def test_recovered_rows_match_the_transfer_solution_at_large_lambda(p, q):
             err = np.max(np.abs(got[row] - want[row]), axis=0)
             scale = np.maximum(1.0, np.max(np.abs(want[row]), axis=0))
             assert np.all(err <= 7e-14 * scale), (lam, row, err / scale)
-
-
-def _inhomogeneous_closed_form(lam):
-    """y(1) for p = q = 0, init (1, 0, 0), h = 1 + t and nu = 0.5 delta_0.6
-    plus dt on [0.1, 0.5): y1(1) + int y3(1 - t) h dnu, in 40 digits."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        k = mp.mpc(lam) ** (mp.mpf(1) / 3)
-        omegas = [mp.exp(2j * mp.pi * j / 3) for j in range(3)]
-
-        def y3(s):
-            return -sum(om * mp.exp(1j * om * k * s) for om in omegas) / (3 * k * k)
-
-        # int_0.1^0.5 y3(1 - t) (1 + t) dt = int_0.5^0.9 y3(s) (2 - s) ds
-        density = 0
-        for om in omegas:
-            c = 1j * om * k
-
-            def anti(s):
-                return mp.exp(c * s) * ((2 - s) / c + 1 / c**2)
-
-            density -= om * (anti(mp.mpf("0.9")) - anti(mp.mpf("0.5"))) / (3 * k * k)
-        y1 = sum(mp.exp(1j * om * k) for om in omegas) / 3
-        return complex(y1 + mp.mpf("0.8") * y3(mp.mpf("0.4")) + density)
-
-
-def test_inhomogeneous_refuses_cancelled_digits():
-    """Variation of constants answers to 1e-13 where its rounding estimate
-    is small and raises where the adjugate products cancel its digits."""
-    zero = Measure.zero()
-    nu = Measure.point(0.6, 0.5).plus(Measure.from_density(0.1, 0.5, (1.0,)))
-    init = InitialTriple(1, 0, 0)
-    for lam in (64.0, 2000.0, -300 + 40j):
-        got = solve_inhomogeneous(zero, zero, lam, init, lambda t: 1.0 + t, nu)
-        want = _inhomogeneous_closed_form(lam)
-        assert abs(got.y_at_one - want) <= 1e-13 * abs(want)
-    for lam in (1e5, 2e6):
-        with pytest.raises(NumericalError, match="cancels digits") as err:
-            solve_inhomogeneous(zero, zero, lam, init, lambda t: 1.0 + t, nu)
-        assert err.value.context["lam"] == lam
-        assert err.value.context["tol"] == 1e-9
-        assert err.value.context["estimate"] > 1e-9
 
 
 def test_transfer_rejects_density_measures():
@@ -538,6 +457,63 @@ def test_propagator_matches_taylor_series():
             total += term
         got = ivp._propagator(q_c, lam, s)
         assert np.max(np.abs(got - total)) < 1e-12 * max(1, np.max(np.abs(total)))
+
+
+def test_propagator_at_zero_length_is_the_identity():
+    # a zero matrix has norm 0, so scaling and squaring takes no halvings;
+    # both cases sit on crowded roots: the triple root 0 and a double root
+    for q_c, lam in ((0.0, 0.0), (-3.0, complex(0.0, -math.sqrt(32.0)))):
+        assert np.array_equal(ivp._propagator(q_c, lam, 0.0), np.eye(3))
+
+
+@pytest.mark.parametrize("p, q", [
+    (Measure.point(0.4, 0.3), Measure.point(0.5, 0.7)),
+    (Measure.point(0.3, 2.0), Measure.point(0.6, -1.5)),
+])
+def test_transfer_evaluates_arrays_like_the_projector_oracle(p, q):
+    """eval_y, eval_yprime and eval_w at the FundamentalPath edges, within
+    2e-15 of the eigenprojector solution relative to each channel's size."""
+    init = np.array([0.3, -1.0, 2.5j])
+    for lam in (64.0, 2e5, 2e6, -2e6, -300 + 40j, -7e4 + 5e3j):
+        path = solve_transfer(p, q, lam, InitialTriple(*init))
+        xs = FundamentalPath(p, q, lam).columns[0].nodes
+        want = _projector_matrices(p, q, lam, xs) @ init
+        for c, channel in enumerate((path.eval_y, path.eval_yprime, path.eval_w)):
+            err = np.max(np.abs(channel(xs) - want[:, c]))
+            assert err <= 2e-15 * np.max(np.abs(want[:, c])), (lam, c)
+
+
+def test_transfer_propagates_once_per_segment(monkeypatch):
+    # two atoms make three segments; a point at a segment start is stored
+    p, q = Measure.point(0.4, 0.3), Measure.point(0.5, 0.7)
+    path = solve_transfer(p, q, 2e5, InitialTriple(1, 0, 0))
+    propagator, calls = ivp._propagator, []
+
+    def counting(q_c, lam, s):
+        calls.append(np.shape(s))
+        return propagator(q_c, lam, s)
+
+    monkeypatch.setattr(ivp, "_propagator", counting)
+    xs = np.linspace(0.0, 1.0, 1001)
+    for channel in (path.eval_y, path.eval_yprime, path.eval_w):
+        channel(xs)
+    assert len(calls) == 9
+    moved = np.count_nonzero(~np.isin(xs, path._starts))
+    assert sum(np.prod(shape) for shape in calls) == 3 * moved
+    calls.clear()
+    starts = np.array([0.0, 0.4, 0.5])
+    assert np.array_equal(path.eval_y(starts), path._states[:, 0])
+    assert calls == []
+
+
+def test_refined_zero_width_cell_is_refused():
+    # atoms one ulp apart are two level-0 edges; level 1 puts their
+    # midpoint on the upper one, leaving a cell of no width
+    upper = math.nextafter(0.3, 1.0)
+    p = Measure.point(0.3, 1.0).plus(Measure.point(upper, 1.0))
+    with pytest.raises(BadArgumentError, match="strictly increasing") as err:
+        solve_picard(p, Measure.zero(), 64.0, InitialTriple(1, 0, 0))
+    assert err.value.context == {"x": upper}
 
 
 def test_transfer_near_triple_root_matches_picard():

@@ -15,7 +15,6 @@ from stieltjes_spec.ivp import (
     FundamentalPath,
     SolverConfig,
     Workspace,
-    solve_inhomogeneous,
     solve_picard,
     solve_transfer,
 )
@@ -24,8 +23,7 @@ from stieltjes_spec.spectrum import find_eigenvalue
 
 P = Measure.point(0.4, 0.3)
 Q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
-MESH_PATHS = ("picard", "column0", "column1", "column2", "eigenfunction",
-              "inhomogeneous")
+MESH_PATHS = ("picard", "column0", "column1", "column2", "eigenfunction")
 CHANNELS = ("eval_y", "eval_yprime", "eval_w")
 
 
@@ -40,10 +38,6 @@ def paths(pair):
     for j, col in enumerate(FundamentalPath(P, Q, 300 - 40j).columns):
         out[f"column{j}"] = col
     out["eigenfunction"] = pair.E
-    # an atom of the forcing measure inside (0, 1) adds a jump of its own
-    nu = Measure.point(0.3, 0.5).plus(Measure.lebesgue(0.2))
-    out["inhomogeneous"] = solve_inhomogeneous(
-        P, Q, 64.0, (0.5, -1.0, 0.25), lambda t: 1.0 + t, nu)
     out["transfer"] = solve_transfer(P, Measure.point(0.5, 0.7), 64.0,
                                      (1.0, 0.3, -0.2))
     return out
@@ -78,10 +72,6 @@ def test_edges_return_the_stacked_edge_rows(paths, name):
     assert _same_bits(path.w_pre[elsewhere], path.w_post[elsewhere])
     for i, (_, size) in zip(at, path.jumps):
         assert abs(path.w_post[i] - path.w_pre[i] - size) <= 1e-12 * max(1.0, abs(size))
-
-
-def test_forcing_atom_is_a_jump(paths):
-    assert 0.3 in [x for x, _ in paths["inhomogeneous"].jumps]
 
 
 @pytest.mark.parametrize("name", MESH_PATHS)

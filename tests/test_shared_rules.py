@@ -23,7 +23,6 @@ from stieltjes_spec.ivp import (
     SolutionPath,
     SolverConfig,
     Workspace,
-    solve_inhomogeneous,
     solve_picard,
     solve_transfer,
     solve_value,
@@ -98,8 +97,6 @@ DRIVERS = {
     "boundary_matrix": lambda cfg: boundary_matrix(P, Q, 300 - 40j, 2, cfg),
     "delta": lambda cfg: delta(P, Q, 300 - 40j, 1, cfg),
     "solve_picard": lambda cfg: solve_picard(P, Q, 64.0, INIT, cfg),
-    "solve_inhomogeneous": lambda cfg: solve_inhomogeneous(
-        P, Q, 64.0, INIT, lambda t: 1.0 + t, NU, cfg),
     "eigenfunction": lambda cfg: eigenfunction(P, Q, 1, 64.0, cfg=cfg),
     "fundamental_gradient": lambda cfg: fundamental_gradient_q(
         P, Q, 100.0, NU, 0.8, cfg),
