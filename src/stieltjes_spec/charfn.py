@@ -117,7 +117,7 @@ def boundary_matrix(p: Measure, q: Measure, lam, xi,
 
 def _pairing_solve(ws: Workspace, lam, xi: int, cfg: SolverConfig | None):
     """(geometry, (E1, E2) columns, M_xi) of one verified two-column solve."""
-    geo, (c1, c2) = _solve_columns(ws, complex(lam), (_E1, _E2), cfg)
+    geo, (c1, c2) = _solve_columns(ws, _finite_lambda(lam), (_E1, _E2), cfg)
     m = np.array(
         [
             [c1.y_at_one, c2.y_at_one],
@@ -131,7 +131,7 @@ def delta(p: Measure, q: Measure, lam, xi, cfg: SolverConfig | None = None,
           workspace: Workspace | None = None) -> complex:
     """Characteristic determinant Delta_xi, verified against the one-solve form."""
     xi = _check_xi(xi)
-    lam = complex(lam)
+    lam = _finite_lambda(lam)
     ws = _workspace_for(p, q, workspace)
     m = boundary_matrix(p, q, lam, xi, cfg, ws)
     d_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

@@ -26,6 +26,7 @@ boundary pairing lives in charfn, root location in spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -40,7 +41,9 @@ from .errors import (
     NumericalError,
     UnsupportedMeasureError,
     _integer,
+    _is_finite_real,
     _positive,
+    _shown,
 )
 from .measure import Measure
 
@@ -64,7 +67,7 @@ _KH_MAX = 0.12
 _MAX_DOUBLINGS = 4
 _MAX_TERMS = 200  # Picard terms before a solve is refused as not converging
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# stands for log(V / V_lo) where the lower envelope V_lo is 0: finite, so
+# stands for log(V / V(x)) where the running budget V(x) is 0: finite, so
 # that a zero term there gives -inf, and a nonzero one a bound no stop accepts
 _NO_ENVELOPE = 1e300
 _EPS = float(np.finfo(float).eps)
@@ -318,6 +321,12 @@ def _edge_index(edges: np.ndarray, x: float) -> int:
     return idx
 
 
+def _running_budget(p: Measure, q: Measure, x):
+    """V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]), the budget of the Picard
+    stop (_Engine.iterate), at a point or an array; an atom at 0 is inert."""
+    return 3.0 * (2.0 * q.tv_function(1.0) * x + p.tv_function(x) + q.tv_function(x))
+
+
 class _Geometry:
     """Mesh plus every lambda-free quadrature tensor for one (p, q) pair.
 
@@ -334,9 +343,7 @@ class _Geometry:
         self.q = q
         self.edges = edges
         if picard_budget is None:
-            # V = 3 (2 |q|(0,1] + |p|(0,1] + |q|(0,1]): an atom at 0 is inert
-            tv_q = q.tv_function(1.0)
-            picard_budget = 3.0 * (2.0 * tv_q + p.tv_function(1.0) + tv_q)
+            picard_budget = _running_budget(p, q, 1.0)
         self.picard_budget = picard_budget
         h, centers, self.tg, self.gw = _gauss_cells(edges)
         if np.any(h <= 0):
@@ -370,34 +377,14 @@ class _Geometry:
 
     @cached_property
     def budget_logs(self) -> np.ndarray:
-        """log(V / V_lo(x)), (7, n): rows 0-5 at the Gauss nodes of each
-        cell, row 6 at its right edge.
-
-        V_lo is a lower envelope of the running budget of _Engine.iterate,
-        V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]), with V(1) =
-        picard_budget.  It replaces each variation by the absolute signed
-        masses of q and of p over whole cells, the partial cell up to a node
-        and the atoms in (0, x]; the 6- and 8-point Gauss rules give these
-        masses exactly for polynomial pieces of degree up to 11.  Where V_lo
-        is 0 the entry is _NO_ENVELOPE.
-        """
-        cell = np.sum(self.gw * self.rho_g, axis=1)
-        part = np.sum(self.w_rho, axis=1)
-        jumps = np.zeros(self.n + 1)
-        q_mass = float(np.sum(np.abs(cell.real)))
-        for idx, _, d_mu in self.atoms:
-            jumps[idx] += abs(d_mu.real) + abs(d_mu.imag)
-            q_mass += abs(d_mu.real)
-        upto = np.cumsum(jumps)
-        upto[1:] += np.cumsum(np.abs(cell.real) + np.abs(cell.imag))
-        lo = np.empty((7, self.n))
-        lo[:6] = 2.0 * q_mass * self.tg.T + upto[:-1] + np.abs(part.real) + np.abs(part.imag)
-        lo[6] = 2.0 * q_mass * self.edges[1:] + upto[1:]
-        lo *= 3.0
-        logs = np.full(lo.shape, _NO_ENVELOPE)
-        pos = lo > 0.0
+        """log(V / V(x)) of _running_budget, V = V(1) = picard_budget, (7, n):
+        rows 0-5 at the Gauss nodes of each cell, row 6 at its right edge;
+        _NO_ENVELOPE where V(x) = 0."""
+        v_x = _running_budget(self.p, self.q, np.vstack([self.tg.T, self.edges[1:]]))
+        logs = np.full(v_x.shape, _NO_ENVELOPE)
+        pos = v_x > 0.0
         # V = 0 only without mass, where pos is empty: _log(0) does not raise
-        logs[pos] = np.maximum(_log(self.picard_budget) - np.log(lo[pos]), 0.0)
+        logs[pos] = np.maximum(_log(self.picard_budget) - np.log(v_x[pos]), 0.0)
         return logs
 
     # lambda-free partial tensors for the moment recovery kernels, (6, 6, n)
@@ -690,17 +677,18 @@ class _Engine:
         falls below 0.5 tol scale, with scale = max |y| over the nodes (at
         least 1).  The bound is the smaller of
             crude: max_x |c_m(x)| (w(1) / w(x)) (e^V - 1),
-            sharp: max_x |c_m(x)| (w(1) / w(x)) (V / V_lo(x))^m S_m(V),
+            sharp: max_x |c_m(x)| (w(1) / w(x)) (V / V(x))^m S_m(V),
         over the nodes and edges, S_m(V) = sum_{j >= 1} V^j m! / (m + j)!,
-        V = picard_budget and V_lo the geometry's lower envelope of the
-        running budget (budget_logs); where V_lo = 0 only the crude bound
-        applies.  Both are computed in logarithms (log_tail_bound), and
-        only once max |c_m| S_m(V), below both since w(1) / w >= 1 and
-        S_m(V) <= e^V - 1, is below the target.  A term whose bound exceeds
-        the float range even at that smallest value, and the _MAX_TERMS-th
-        term, are refused with ConvergenceError carrying V, m and log10 of
-        the bound.  With no mass in (0, 1], p = q = 0 included, V = 0: the
-        first term is exactly 0, its bound -inf, and the series stops there.
+        V(x) the running budget below, V = V(1) = picard_budget, and
+        log(V / V(x)) the geometry's budget_logs; where V(x) = 0 only the
+        crude bound applies.  Both are computed in logarithms
+        (log_tail_bound), and only once max |c_m| S_m(V), below both since
+        w(1) / w >= 1 and S_m(V) <= e^V - 1, is below the target.  A term
+        whose bound exceeds the float range even at that smallest value, and
+        the _MAX_TERMS-th term, are refused with ConvergenceError carrying
+        V, m and log10 of the bound.  With no mass in (0, 1], p = q = 0
+        included, V = 0: the first term is exactly 0, its bound -inf, and
+        the series stops there.
 
         Derivation.  The term operator is the Volterra operator
             (T f)(x) = int_(0,x] y3(x - t) f(t) d(q + i p)(t)
@@ -719,16 +707,16 @@ class _Engine:
         it bounds the kernels by 3 w, and that 3 multiplies the variations
         in its exponent.  With w(x - t) w(t) = w(x) and |q(t)| <= |q|(0,1],
             |T f(x)| <= w(x) int_(0,x] (|f(t)| / w(t)) dV(t) / 3
-        for V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]), whose V(1) is
-        picard_budget; the kernels need only a third of the constant the
-        budget keeps.  Every term is continuous, so at an atom the integrand
-        takes V's left limit, and induction on j turns |f| <= A w V^m / m!
-        into |T^j f| <= A w V^(m+j) / (m+j)!.  Summed over j >= 1, with
-        A = max |c_m| / w (m = 0 in the induction) this is the crude bound,
-        and with A = max |c_m| m! / (w V_lo^m), valid since V_lo <= V(x),
-        the sharp one.  The maxima run over the measured points, the edge
-        at 0 left out (every term vanishes there), with a point's weight
-        taken at the left edge of its cell, where it is larger.
+        for V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]) (_running_budget),
+        whose V(1) is picard_budget; the kernels need only a third of the
+        constant the budget keeps.  Every term is continuous, so at an atom
+        the integrand takes V's left limit, and induction on j turns
+        |f| <= A w V^m / m! into |T^j f| <= A w V^(m+j) / (m+j)!.  Summed
+        over j >= 1, with A = max |c_m| / w (m = 0 in the induction) this is
+        the crude bound, and with A = max |c_m(x)| m! / (w(x) V(x)^m) the
+        sharp one.  The maxima run over the measured points, the edge at 0
+        left out (every term vanishes there), with a point's weight taken at
+        the left edge of its cell, where it is larger.
         """
         geo, cfg = self.geo, self.cfg
         c_node, c_edge = self.initial_rows(init)
@@ -743,7 +731,7 @@ class _Engine:
             scale = max(scale, float(np.max(np.abs(y_node))), 1.0)
             log_target = math.log(0.5 * cfg.tol * scale)
             # both bounds are at least max |c_m| S_m(V): w(1) / w >= 1,
-            # V / V_lo >= 1 and S_m(V) <= e^V - 1
+            # V / V(x) >= 1 and S_m(V) <= e^V - 1
             floor = _log(float(np.max(np.abs(c_node)))) + _log_tail_sum(m, budget)
             if floor < log_target:
                 if self.log_tail_bound(m, c_node, c_edge) < log_target:
@@ -910,10 +898,12 @@ class SolutionPath:
 
 
 def _finite_lambda(lam) -> complex:
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+    """lam as a finite complex; a bool, a string or None is refused."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Complex):
+        raise BadArgumentError(f"lambda must be a number, got {_shown(lam)}")
+    if not (_is_finite_real(lam.real) and _is_finite_real(lam.imag)):
         raise BadArgumentError("lambda must be finite")
-    return lam
+    return complex(lam)
 
 
 def _effective(lam: complex) -> tuple[complex, float]:
@@ -1187,7 +1177,7 @@ class FundamentalPath:
                  workspace: Workspace | None = None):
         cfg = cfg or SolverConfig()
         ws = _workspace_for(p, q, workspace)
-        self.lam = complex(lam)
+        self.lam = _finite_lambda(lam)
         self.cfg = cfg
         self._geo, self.columns = _solve_columns(ws, lam, _CANONICAL, cfg)
 

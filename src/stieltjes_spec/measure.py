@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,20 +110,9 @@ class PolynomialPiece:
         return _poly_val(_poly_antideriv(self.coeffs), u)
 
     def abs_mass_to(self, x):
-        """Exact integral of |density| over [lo, min(x, hi)], vectorized.
-
-        Sums |F(clip(u, c_k, c_k+1)) - F(c_k)| in cut order over the cuts
-        0 < sign changes < length, F the antiderivative and u = x - lo
-        clipped to the piece; a cut beyond u adds exactly 0.
-        """
-        u = np.clip(np.asarray(x, dtype=float) - self.lo, 0.0, self.length)
-        anti = _poly_antideriv(self.coeffs)
-        cuts = [0.0, *_real_roots_in(self.coeffs, self.length), self.length]
-        at_cut = _poly_val(anti, np.array(cuts))
-        total = np.zeros_like(u)
-        for lo, hi, f_lo in zip(cuts[:-1], cuts[1:], at_cut):
-            total = total + np.abs(_poly_val(anti, np.clip(u, lo, hi)) - f_lo)
-        return total
+        """Exact integral of |density| over [lo, min(x, hi)], vectorized:
+        the running variation of this piece alone (Measure.tv_function)."""
+        return Measure((self,)).tv_function(x)
 
 
 @dataclass(frozen=True)
@@ -236,25 +226,58 @@ class Measure:
 
     def total_variation(self) -> float:
         """Exact variation over the closed interval, atom at 0 included."""
-        tv = sum(float(p.abs_mass_to(p.hi)) for p in self.pieces)
-        tv += sum(abs(a.w) for a in self.atoms)
-        return float(tv)
+        return self.tv_function(1.0) + abs(self.atom_weight(0.0))
 
     def tv_function(self, x):
         """Running variation over (0, x]; the jump at 0 does not count.
 
-        A point returns a float, an array an ndarray of its shape.
+        A point returns a float, an array an ndarray of its shape.  A point
+        takes the whole variation of the pieces before its own (the last
+        one starting at or left of it: pieces that overlap by the 1e-15 the
+        format allows count whole from the next one's start), plus
+        |F(clip(u, c_j, c_j+1)) - F(c_j)| summed in cut order, F the
+        antiderivative and u = x - lo clipped to the piece; a cut beyond u
+        adds exactly 0.
         """
         xs = np.asarray(x, dtype=float)
         tv = np.zeros_like(xs)
-        for p in self.pieces:
-            tv = tv + p.abs_mass_to(xs)
-        jumps = np.zeros_like(xs)  # summed apart, as in total_variation
-        for a in self.atoms:
-            if a.x > 0.0:
-                jumps = jumps + np.where(xs >= a.x, abs(a.w), 0.0)
-        tv = tv + jumps
+        lo, anti, cuts, at_cut, before, jump_x, jumps = self._variation_table
+        if len(lo):
+            k = np.searchsorted(lo[1:], xs, side="right")
+            f, cut, f_cut = (a.take(k, axis=1) for a in (anti, cuts, at_cut))
+            u = np.minimum(np.maximum(xs - lo.take(k), 0.0), cut[-1])
+            for j in range(len(cuts) - 1):
+                seg = np.minimum(np.maximum(u, cut[j]), cut[j + 1])
+                tv = tv + np.abs(_poly_val(f, seg) - f_cut[j])
+            tv = before.take(k) + tv
+        if len(jump_x):  # summed apart: this order fixes V's bits
+            tv = tv + jumps.take(np.searchsorted(jump_x, xs, side="right"))
         return float(tv) if xs.ndim == 0 else tv
+
+    @cached_property
+    def _variation_table(self):
+        """tv_function's arrays, built once.  Per piece (a column): lo, the
+        antiderivative's coefficients (rows, zero-padded, which keeps
+        Horner's bits), the cuts 0, sign changes and length (padded with
+        length), the antiderivative there and the variation of the pieces
+        before it.  Then the atoms in (0, 1] and running sums of their |w|."""
+        lo = np.array([p.lo for p in self.pieces])
+        cut_lists = [[0.0, *_real_roots_in(p.coeffs, p.length), p.length]
+                     for p in self.pieces]
+        n_cut = max(map(len, cut_lists), default=0)
+        anti = np.zeros((max((len(p.coeffs) + 1 for p in self.pieces), default=0), len(lo)))
+        cuts = np.empty((n_cut, len(lo)))
+        for i, (p, c) in enumerate(zip(self.pieces, cut_lists)):
+            anti[: len(p.coeffs) + 1, i] = _poly_antideriv(p.coeffs)
+            cuts[:, i] = c + [p.length] * (n_cut - len(c))
+        at_cut = _poly_val(anti, cuts)
+        whole = np.zeros_like(lo)
+        for j in range(n_cut - 1):
+            whole = whole + np.abs(at_cut[j + 1] - at_cut[j])
+        before = np.concatenate([[0.0], np.cumsum(whole)[:-1]])
+        jump_x = np.array([a.x for a in self.atoms if a.x > 0.0])
+        jumps = np.concatenate([[0.0], np.cumsum([abs(a.w) for a in self.atoms if a.x > 0.0])])
+        return lo, anti, cuts, at_cut, before, jump_x, jumps
 
     # ------------------------------------------------------------------
     # structural queries

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadArgumentError, UnsupportedMultiplicityError, _positive
+from .errors import BadArgumentError, UnsupportedMultiplicityError, _finite, _positive
 from .ivp import (
     FundamentalPath,
     SolverConfig,
@@ -156,6 +156,7 @@ def _nu_workspace(p, q, nu, x):
 
 
 def _fundamental_gradient(p, q, lam, nu, x, cfg, channel) -> np.ndarray:
+    x = _finite(x, "evaluation point")
     if not 0.0 < x <= 1.0:
         raise BadArgumentError(f"evaluation point {x} outside (0, 1]")
     fp = FundamentalPath(p, q, lam, cfg, _nu_workspace(p, q, nu, x))

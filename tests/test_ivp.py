@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from stieltjes_spec.errors import (
     UnsupportedMeasureError,
 )
 from stieltjes_spec.charfn import boundary_matrix, delta, real_split
+from stieltjes_spec.cli import main
 from stieltjes_spec.measure import Measure, oscillation_sequence, ramp_sequence
 from stieltjes_spec import ivp
 from stieltjes_spec.spectrum import (
@@ -1113,6 +1115,135 @@ def test_unrepresentable_tail_bound_is_refused_at_once():
     assert ctx["budget"] == pytest.approx(2160.0)
     assert ctx["terms"] == 1
     assert ctx["log10_bound"] > 308.0
+
+
+# ---------------------------------------------------------------------------
+# the running budget V(x) against an independent route
+
+
+@st.composite
+def _budget_measure(draw):
+    """Atoms at 0, inside and at 1, each drawn or not, and a cubic density
+    piece with three distinct roots inside it, so that it changes sign
+    inside cells."""
+    mu = Measure.zero()
+    for x in (0.0, draw(st.integers(1, 99)) / 100.0, 1.0):
+        if draw(st.booleans()):
+            weight = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+            mu = mu.plus(Measure.point(x, weight))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 60))
+        hi = draw(st.integers(lo + 20, 100))
+        width = (hi - lo) / 100.0
+        fractions = draw(st.lists(st.integers(1, 99), min_size=3, max_size=3,
+                                  unique=True))
+        scale = draw(st.floats(0.5, 3.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        # constant-first coefficients in t - lo of scale * prod(t - lo - root)
+        coeffs = scale * np.polynomial.polynomial.polyfromroots(
+            [f * width / 100.0 for f in fractions])
+        mu = mu.plus(Measure.from_density(lo / 100.0, hi / 100.0, tuple(coeffs)))
+    return mu
+
+
+def _variation_mp(mpmath, mu):
+    """x -> |mu|(0, x] by mpmath: quad of |rho| over each piece, split at
+    the piece's polyroots, plus the atoms in (0, x]."""
+    pieces = []
+    for piece in mu.pieces:
+        high_first = [mpmath.mpf(c) for c in reversed(piece.coeffs)]
+        top = mpmath.mpf(piece.hi) - mpmath.mpf(piece.lo)
+        roots = sorted(mpmath.re(r) for r in mpmath.polyroots(high_first, extraprec=60)
+                       if abs(mpmath.im(r)) < 1e-20 and 0 < mpmath.re(r) < top)
+        cuts = [mpmath.mpf(0)] + roots + [top]
+        masses = [mpmath.quad(lambda u: abs(mpmath.polyval(high_first, u)), [a, b],
+                              method="gauss-legendre")
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        pieces.append((piece.lo, high_first, cuts, masses))
+
+    def variation(x):
+        total = sum(abs(a.w) for a in mu.atoms if 0.0 < a.x <= x)
+        for lo, high_first, cuts, masses in pieces:
+            u = mpmath.mpf(x) - mpmath.mpf(lo)
+            for a, b, mass in zip(cuts[:-1], cuts[1:], masses):
+                if u >= b:
+                    total += mass
+                elif u > a:
+                    total += mpmath.quad(lambda t: abs(mpmath.polyval(high_first, t)),
+                                         [a, u], method="gauss-legendre")
+        return mpmath.mpf(total)
+
+    return variation
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_budget_measure(), _budget_measure(), st.sampled_from((0, 1)))
+@example(Measure.from_density(0.5, 0.501, (1000.0,)), Measure.zero(), 0)
+def test_running_budget_matches_an_mpmath_variation(p, q, level):
+    """budget_logs is log(V / V(x)) and picard_budget is V = V(1), with
+    V(x) = 3 (2 |q|(0,1] x + |p|(0,x] + |q|(0,x]) computed by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 20
+    geo = Workspace(p, q).geometry(0.0, 8, level)
+    var_p, var_q = _variation_mp(mpmath, p), _variation_mp(mpmath, q)
+    tv_q = var_q(1.0)
+
+    def budget(x):
+        return 3 * (2 * tv_q * mpmath.mpf(x) + var_p(x) + var_q(x))
+
+    v_one = budget(1.0)
+    assert abs(geo.picard_budget - v_one) <= 1e-12 * v_one
+    points = np.vstack([geo.tg.T, geo.edges[1:]])
+    for idx in np.ndindex(points.shape):
+        x = float(points[idx])
+        v_x = budget(x)
+        if v_x == 0:
+            assert geo.budget_logs[idx] == ivp._NO_ENVELOPE
+            continue
+        want = max(float(mpmath.log(v_one / v_x)), 0.0)
+        assert abs(geo.budget_logs[idx] - want) <= 1e-12, (idx, x)
+
+
+def _cli_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_a_series_out_of_terms_is_refused(monkeypatch, tmp_path, capsys):
+    # the ROADMAP pair at lambda = 64 stops after 7 terms; a cap of 2 (set
+    # here only) leaves the loop without a stop
+    monkeypatch.setattr(ivp, "_MAX_TERMS", 2)
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    with pytest.raises(ConvergenceError, match="did not converge in 2 terms") as err:
+        solve_value(p, q, 64.0, InitialTriple(1, 0, 0))
+    ctx = err.value.context
+    assert set(ctx) == {"budget", "terms", "log10_bound"}
+    assert ctx["budget"] == pytest.approx(11.7)
+    assert ctx["terms"] == 2
+    # the refused bound is above the stop target 0.5 tol scale, scale >= 1
+    assert math.log10(0.5e-9) <= ctx["log10_bound"] < 308.0
+    q_file = tmp_path / "q.json"
+    q_file.write_text(q.to_json())
+    assert main(["solve", "--p", "atom:0.4:0.3", "--q", str(q_file),
+                 "--lambda", "64"]) == 3
+    assert _cli_error(capsys)["error"] == "NO_CONVERGENCE"
+
+
+def test_a_series_that_overflows_is_refused(monkeypatch, capsys):
+    # terms of 1e308 overflow y at the second term; V = 0.009 keeps the
+    # tail bound representable, so the stop accepts and the finiteness
+    # check refuses (the overflow emits numpy's RuntimeWarning first)
+    def huge(self, vals, edge_vals):
+        return (np.full((6, self.geo.n), 1e308 + 0j),
+                np.full(self.geo.n + 1, 1e308 + 0j))
+
+    monkeypatch.setattr(ivp._Engine, "term", huge)
+    p = Measure.point(0.4, 0.003)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match="overflowed or produced NaN") as err:
+            solve_value(p, Measure.zero(), 64.0, InitialTriple(1, 0, 0))
+        assert type(err.value) is NumericalError
+        assert main(["solve", "--p", "atom:0.4:0.003", "--lambda", "64"]) == 3
+    assert _cli_error(capsys)["error"] == "NUMERICAL"
 
 
 def test_zero_pair_path_is_the_closed_form_after_one_zero_term():

@@ -336,6 +336,34 @@ def test_tv_function_of_an_array_is_pointwise_bit_for_bit():
         assert type(mu.tv_function(0.5)) is float
 
 
+def test_tv_function_of_many_contiguous_pieces_is_the_loop_bit_for_bit():
+    # 96 Hermite cubics end to end, each changing sign, plus atoms on a
+    # piece edge and inside a piece: every point takes its own piece
+    mu = oscillation_sequence(1).plus(Measure.point(0.25, -0.5)).plus(
+        Measure.point(0.3, 2.0))
+    edges = np.array(mu.breakpoints()[::7])
+    xs = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                         np.random.default_rng(5).uniform(-0.1, 1.1, 10)])
+    got = mu.tv_function(xs)
+    assert got.tobytes() == np.array([loop_tv(mu, x) for x in xs]).tobytes()
+
+
+def test_tv_function_finds_each_pieces_sign_changes_once(monkeypatch):
+    calls = []
+
+    def counted(coeffs, length):
+        calls.append(length)
+        return _real_roots_in(coeffs, length)
+
+    monkeypatch.setattr(measure, "_real_roots_in", counted)
+    mu = oscillation_sequence(1)
+    first = mu.tv_function(np.linspace(0.0, 1.0, 1001))
+    assert len(calls) == len(mu.pieces)
+    assert mu.tv_function(np.linspace(0.0, 1.0, 1001)).tobytes() == first.tobytes()
+    assert mu.tv_function(0.5) == first[500]
+    assert len(calls) == len(mu.pieces)
+
+
 def test_abs_mass_to_matches_gauss_between_known_roots():
     # between consecutive roots |density| is a cubic of one sign, which
     # 4-point Gauss integrates exactly: an oracle that finds no roots

@@ -30,7 +30,12 @@ from stieltjes_spec.ivp import (
 from stieltjes_spec.lab import bound_audit, solution_continuity
 from stieltjes_spec import spectrum
 from stieltjes_spec.measure import Measure, oscillation_sequence, ramp_sequence
-from stieltjes_spec.sens import fd_check, fundamental_fd_check, fundamental_gradient_q
+from stieltjes_spec.sens import (
+    fd_check,
+    fundamental_fd_check,
+    fundamental_gradient_p,
+    fundamental_gradient_q,
+)
 from stieltjes_spec.spectrum import (
     count_zeros_disc,
     counting_threshold,
@@ -176,6 +181,32 @@ REFUSED = {
     "eigenfunction infinite imaginary part": (
         lambda: eigenfunction(Z, Z, 1, complex(0.0, math.inf)),
         "lambda must be finite"),
+    # lambda passes one rule in ivp: complex() would take "64" and True
+    "lambda string": (lambda: solve_value(P, Q, "64", INIT), "lambda must be a number"),
+    "lambda bool": (lambda: solve_value(P, Q, True, INIT), "lambda must be a number"),
+    "lambda None": (lambda: solve_picard(P, Q, None, INIT), "lambda must be a number"),
+    "lambda string, zero pair": (lambda: solve_value(Z, Z, "64", INIT),
+                                 "lambda must be a number"),
+    "lambda string, transfer": (lambda: solve_transfer(P, Q_ATOMIC, "64", INIT),
+                                "lambda must be a number"),
+    "lambda None, fundamental path": (lambda: FundamentalPath(P, Q, None),
+                                      "lambda must be a number"),
+    "lambda bool, delta": (lambda: delta(P, Q, True, 1), "lambda must be a number"),
+    "lambda string, boundary matrix": (lambda: boundary_matrix(P, Q, "64", 1),
+                                       "lambda must be a number"),
+    "lambda string, real split": (lambda: real_split(P, Q, "64"),
+                                  "lambda must be a number"),
+    "lambda beyond floats": (lambda: solve_value(P, Q, 10**400, INIT),
+                             "lambda must be finite"),
+    # the evaluation point of the matrix gradients passes the real rule
+    "x string": (lambda: fundamental_gradient_p(P, Q, 64.0, NU, "0.5"),
+                 "evaluation point must be finite"),
+    "x None": (lambda: fundamental_gradient_q(P, Q, 64.0, NU, None),
+               "evaluation point must be finite"),
+    "x bool": (lambda: fundamental_gradient_p(P, Q, 64.0, NU, True),
+               "evaluation point must be finite"),
+    "x string, fd check": (lambda: fundamental_fd_check(P, Q, 64.0, NU, x="0.5"),
+                           "evaluation point must be finite"),
 }
 
 
@@ -208,3 +239,10 @@ def test_eigenfunction_takes_a_complex_lambda_with_zero_imaginary_part():
             assert type(got.lam) is float
             assert dataclasses.replace(got, E=None) == dataclasses.replace(want, E=None)
             assert np.array_equal(got.E.edge, want.E.edge)
+
+
+def test_every_other_number_is_a_lambda():
+    want = solve_value(P, Q, 64.0, INIT)
+    for lam in (64, Fraction(64), np.float64(64.0), np.int64(64),
+                np.complex128(64.0), 64.0 + 0j):
+        assert _bits(solve_value(P, Q, lam, INIT)) == _bits(want)
