@@ -40,8 +40,10 @@ from .errors import (
     MeshRefinementError,
     NumericalError,
     UnsupportedMeasureError,
+    _finite,
     _integer,
     _is_finite_real,
+    _is_real,
     _positive,
     _shown,
 )
@@ -317,7 +319,7 @@ def _edge_index(edges: np.ndarray, x: float) -> int:
     """Index of the mesh edge at the atom x."""
     idx = int(np.searchsorted(edges, x))
     if idx >= len(edges) or abs(edges[idx] - x) > 1e-13:
-        raise BadArgumentError(f"atom at {x} is not a mesh edge")
+        raise BadArgumentError(f"atom at {x} is not a mesh edge", x=x)
     return idx
 
 
@@ -356,21 +358,23 @@ class _Geometry:
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
         self.widths, self.width_of = np.unique(h, return_inverse=True)
-        self.qg = q.drift_many(self.tg.ravel()).reshape(self.n, 6)
-        self.q_edge = q.drift_many(edges)
-        rho = q.density_many(self.tg.ravel()) + 1j * p.density_many(self.tg.ravel())
-        self.rho_g = rho.reshape(self.n, 6)
+        # every point each measure is asked for, in one array: the Gauss
+        # nodes, the edges, then the sub-nodes of the partial integrals,
+        # node-major: tau is (6, 8, n) for Gauss node b, sub-node s and cell i
+        n_node, n_edge = 6 * self.n, 7 * self.n + 1
+        pts = np.concatenate([self.tg.ravel(), edges, np.empty(48 * self.n)])
+        self.tau = pts[n_edge:].reshape(6, 8, self.n)
+        np.add(centers, 0.5 * h * _PARTIAL_ETA[:, :, None], out=self.tau)
+        self.w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
+        # the node and edge values are copied out, so the sub-node ones can go
+        q_at, rho = q.drift_many(pts), 1j * p.density_many(pts)
+        rho += q.density_many(pts)
+        self.qg, self.rho_g = (a[:n_node].reshape(self.n, 6).copy() for a in (q_at, rho))
+        self.q_edge = q_at[n_node:n_edge].copy()
         self.gw_rho = np.ascontiguousarray((self.gw * self.rho_g).T)
         self.gw_q = np.ascontiguousarray((self.gw * self.qg).T)
-        # sub-node points and weights of the partial integrals, node-major:
-        # (6, 8, n) for Gauss node b, sub-node s and cell i
-        self.tau = centers + 0.5 * h * _PARTIAL_ETA[:, :, None]
-        flat = self.tau.reshape(-1)
-        self.w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
-        self.w_q = self.w_plain * q.drift_many(flat).reshape(self.tau.shape)
-        self.w_rho = self.w_plain * (
-            q.density_many(flat) + 1j * p.density_many(flat)
-        ).reshape(self.tau.shape)
+        self.w_q = self.w_plain * q_at[n_edge:].reshape(self.tau.shape)
+        self.w_rho = self.w_plain * rho[n_edge:].reshape(self.tau.shape)
         # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
         self.atoms = [(_edge_index(edges, x_a), x_a, d_mu)
                       for x_a, d_mu in _interior_atoms(p, q)]
@@ -663,6 +667,8 @@ class _Engine:
         stacked[6:] = chan[:, :-1]
         return np.sum(self.kernel * stacked, axis=1), np.sum(chan, axis=0)
 
+    # an overflow is refused by type below, not announced by numpy
+    @np.errstate(over="ignore", invalid="ignore")
     def iterate(self, init: InitialTriple):
         """Accumulate the fixed-point iterates; returns y at nodes and edges.
 
@@ -850,7 +856,10 @@ class SolutionPath:
         """
         if side not in ("right", "left"):
             raise BadArgumentError("side must be 'right' or 'left'")
-        xs = np.asarray(x, dtype=float)
+        xs = np.asarray(float(x) if _is_real(x) else x)
+        if xs.dtype.kind not in "iuf":  # a bool, a string, None, ...
+            raise BadArgumentError(f"evaluation points must be real numbers, got {_shown(x)}")
+        xs = xs.astype(float)
         inside = (xs >= 0.0) & (xs <= 1.0)
         if not np.all(inside):
             bad = xs[~inside].flat[0] if xs.ndim else xs
@@ -1201,9 +1210,10 @@ class FundamentalPath:
 def fundamental_matrix(p: Measure, q: Measure, lam: complex, x: float,
                        cfg: SolverConfig | None = None) -> FundamentalMatrix:
     """N(x) from three canonical solves, determinant-checked."""
+    x = _finite(x, "evaluation point")  # before any solve
     fp = FundamentalPath(p, q, lam, cfg)
     fp.check_det(x)
-    return FundamentalMatrix(x=float(x), lam=complex(lam), entries=fp.matrix(x))
+    return FundamentalMatrix(x=x, lam=complex(lam), entries=fp.matrix(x))
 
 
 # entry j of column 3 of adj N is y_a z_b - y_b z_a for (a, b) = _ADJ_PAIRS[j]

@@ -22,19 +22,8 @@ _ROOT_IMAG_TOL = 1e-9
 _DEDUPE_TOL = 1e-14
 # Hermite cells per period of oscillation_sequence
 _NODES_PER_PERIOD = 96
-
-
-def _shift_poly(coeffs: Sequence[float], d: float) -> tuple[float, ...]:
-    """Re-expand a constant-first polynomial around a point shifted by d."""
-    n = len(coeffs)
-    out = [0.0] * n
-    for i, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        # c * (s + d)^i contributes binomially to lower powers of s
-        for j in range(i + 1):
-            out[j] += c * math.comb(i, j) * d ** (i - j)
-    return tuple(out)
+# points per block of a table query: its temporaries are reused, not faulted in
+_BLOCK = 8192
 
 
 def _poly_val(coeffs: Sequence[float], u):
@@ -46,14 +35,20 @@ def _poly_val(coeffs: Sequence[float], u):
     return acc
 
 
-def _poly_antideriv(coeffs: Sequence[float]) -> tuple[float, ...]:
-    return (0.0,) + tuple(c / (i + 1) for i, c in enumerate(coeffs))
+def _blockwise(values, xs: np.ndarray) -> np.ndarray:
+    """values(points) over xs, a block at a time, in xs's shape."""
+    flat = xs.reshape(-1)
+    out = np.empty_like(flat)
+    for s in range(0, len(flat), _BLOCK):
+        out[s:s + _BLOCK] = values(flat[s:s + _BLOCK])
+    return out.reshape(xs.shape)
 
 
 def _real_roots_in(coeffs: Sequence[float], length: float) -> list[float]:
     """Real roots of a constant-first polynomial inside (0, length)."""
     trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0.0:
+    # a top coefficient too small to divide by has its roots beyond floats
+    while trimmed and (trimmed[-1] == 0.0 or any(math.isinf(c / trimmed[-1]) for c in trimmed)):
         trimmed.pop()
     if len(trimmed) <= 1:
         return []
@@ -104,16 +99,6 @@ class PolynomialPiece:
         """Density value at x (no range check, local polynomial)."""
         return _poly_val(self.coeffs, np.asarray(x, dtype=float) - self.lo)
 
-    def mass_to(self, x):
-        """Integral of the density over [lo, min(x, hi)], vectorized."""
-        u = np.clip(np.asarray(x, dtype=float) - self.lo, 0.0, self.length)
-        return _poly_val(_poly_antideriv(self.coeffs), u)
-
-    def abs_mass_to(self, x):
-        """Exact integral of |density| over [lo, min(x, hi)], vectorized:
-        the running variation of this piece alone (Measure.tv_function)."""
-        return Measure((self,)).tv_function(x)
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -131,6 +116,74 @@ class Atom:
             raise MeasureFormatError(f"atom at {self.x} has zero weight")
         if not math.isfinite(self.w):
             raise MeasureFormatError(f"atom at {self.x} has non-finite weight {self.w}")
+
+
+class _PieceTable:
+    """A measure as arrays for every query: per piece (a column, in order) lo,
+    hi, length, coefficient count, density and antiderivative coefficients
+    (constant-first rows padded with zeros, which keeps Horner's bits) and the
+    mass before it (a cumsum: a loop's additions); atoms in (0, 1] with
+    running |w|.  A point takes the last piece starting at or left of it, so
+    pieces overlapping by the 1e-15 the format allows count whole from the
+    next one's start."""
+
+    def __init__(self, pieces: tuple[PolynomialPiece, ...], atoms: tuple[Atom, ...]):
+        self.lo, self.hi = (np.array([p.lo for p in pieces]), np.array([p.hi for p in pieces]))
+        self.length = self.hi - self.lo
+        self.n_coef = np.array([len(p.coeffs) for p in pieces], dtype=int)
+        deg = self.n_coef.max(initial=0)
+        self.rho = np.array([p.coeffs + (0.0,) * (deg - len(p.coeffs)) for p in pieces],
+                            dtype=float).reshape(len(pieces), deg).T.copy()
+        self.anti = np.vstack([np.zeros(len(pieces)), self.rho / np.arange(1.0, deg + 1)[:, None]])
+        self.before = np.concatenate([[0.0], np.cumsum(_poly_val(self.anti, self.length))[:-1]])
+        self.jump_x = np.array([a.x for a in atoms if a.x > 0.0])
+        self.jumps = np.concatenate([[0.0], np.cumsum([abs(a.w) for a in atoms if a.x > 0.0])])
+
+    def at(self, xs: np.ndarray, *cols: np.ndarray) -> list:
+        """Columns (pieces on the last axis) at each point's piece, found once."""
+        if len(self.lo) == 1:
+            return [c[..., 0] for c in cols]
+        k = np.searchsorted(self.lo[1:], xs, side="right")
+        return [c.take(k, axis=-1) for c in cols]
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        lo, length, anti, before = self.at(x, self.lo, self.length, self.anti, self.before)
+        return before + _poly_val(anti, np.minimum(np.maximum(x - lo, 0.0), length))
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        lo, hi, rho = self.at(x, self.lo, self.hi, self.rho)
+        inside = (x >= lo) & (x < hi)  # and no point outside its piece overflows
+        return np.where(inside, _poly_val(rho, np.where(inside, x - lo, 0.0)), 0.0)
+
+    @cached_property
+    def variation(self):
+        """tv_function's columns: the cuts 0, sign changes and length (padded
+        with length), the antiderivative there, the variation before."""
+        cuts = [[0.0, *_real_roots_in(c, length), length]
+                for c, length in zip(self.rho.T.tolist(), self.length.tolist())]
+        n_cut = max(map(len, cuts), default=0)
+        cuts = np.array([c + c[-1:] * (n_cut - len(c)) for c in cuts]).reshape(-1, n_cut).T
+        at_cut = _poly_val(self.anti, cuts)
+        whole = np.zeros_like(self.lo)
+        for j in range(n_cut - 1):
+            whole = whole + np.abs(at_cut[j + 1] - at_cut[j])
+        return cuts, at_cut, np.concatenate([[0.0], np.cumsum(whole)[:-1]])
+
+    def shifted(self, lo: np.ndarray, hi: np.ndarray, rows: int):
+        """The density on each cell [lo, hi) one piece covers, re-expanded about
+        lo as c_i comb(i, j) d^(i-j) over ascending i (a scalar Taylor shift's
+        products and order), zero elsewhere, and the piece's coefficient count."""
+        out = np.zeros((rows, len(lo)))
+        if not len(self.lo):
+            return out, np.zeros(len(lo), dtype=int)
+        p_lo, p_hi, n, *c = self.at(lo, self.lo, self.hi, self.n_coef, *self.rho)
+        covered = (p_lo <= lo) & (hi <= p_hi)
+        # float_power rounds as C's pow, as Python's ** does; np.power may not
+        d_pow = np.float_power(lo - p_lo, np.arange(len(c))[:, None])
+        for i, c_i in enumerate(c):
+            for j in range(i + 1):
+                out[j] += np.where(covered, c_i, 0.0) * math.comb(i, j) * d_pow[i - j]
+        return out, np.where(covered, n, 0)
 
 
 @dataclass(frozen=True)
@@ -184,13 +237,12 @@ class Measure:
 
     def eval_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        for piece in self.pieces:
-            out = out + piece.mass_to(xs)
+        t = self._table
+        out = _blockwise(t.mass, xs) if len(t.lo) else np.zeros_like(xs)
         for atom in self.atoms:
-            out = out + atom.w * (xs >= atom.x)
+            out += atom.w * (xs >= atom.x)
         # normalization pins f(0) = 0 even when an atom sits at 0
-        out = np.where(xs == 0.0, 0.0, out)
+        out[xs == 0.0] = 0.0
         return out
 
     def drift(self, x: float) -> float:
@@ -214,12 +266,8 @@ class Measure:
     def density_many(self, xs) -> np.ndarray:
         """Density at points that avoid piece boundaries."""
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        for piece in self.pieces:
-            inside = (xs >= piece.lo) & (xs < piece.hi)
-            if np.any(inside):
-                out[inside] = piece.density(xs[inside])
-        return out
+        t = self._table
+        return _blockwise(t.density, xs) if len(t.lo) else np.zeros_like(xs)
 
     # ------------------------------------------------------------------
     # variation
@@ -232,65 +280,36 @@ class Measure:
         """Running variation over (0, x]; the jump at 0 does not count.
 
         A point returns a float, an array an ndarray of its shape.  A point
-        takes the whole variation of the pieces before its own (the last
-        one starting at or left of it: pieces that overlap by the 1e-15 the
-        format allows count whole from the next one's start), plus
+        takes the whole variation of the pieces before its own, plus
         |F(clip(u, c_j, c_j+1)) - F(c_j)| summed in cut order, F the
         antiderivative and u = x - lo clipped to the piece; a cut beyond u
         adds exactly 0.
         """
         xs = np.asarray(x, dtype=float)
         tv = np.zeros_like(xs)
-        lo, anti, cuts, at_cut, before, jump_x, jumps = self._variation_table
-        if len(lo):
-            k = np.searchsorted(lo[1:], xs, side="right")
-            f, cut, f_cut = (a.take(k, axis=1) for a in (anti, cuts, at_cut))
-            u = np.minimum(np.maximum(xs - lo.take(k), 0.0), cut[-1])
-            for j in range(len(cuts) - 1):
+        t = self._table
+        if len(t.lo):
+            lo, f, cut, f_cut, before = t.at(xs, t.lo, t.anti, *t.variation)
+            u = np.minimum(np.maximum(xs - lo, 0.0), cut[-1])
+            for j in range(len(cut) - 1):
                 seg = np.minimum(np.maximum(u, cut[j]), cut[j + 1])
                 tv = tv + np.abs(_poly_val(f, seg) - f_cut[j])
-            tv = before.take(k) + tv
-        if len(jump_x):  # summed apart: this order fixes V's bits
-            tv = tv + jumps.take(np.searchsorted(jump_x, xs, side="right"))
+            tv = before + tv
+        if len(t.jump_x):  # summed apart: this order fixes V's bits
+            tv = tv + t.jumps.take(np.searchsorted(t.jump_x, xs, side="right"))
         return float(tv) if xs.ndim == 0 else tv
 
     @cached_property
-    def _variation_table(self):
-        """tv_function's arrays, built once.  Per piece (a column): lo, the
-        antiderivative's coefficients (rows, zero-padded, which keeps
-        Horner's bits), the cuts 0, sign changes and length (padded with
-        length), the antiderivative there and the variation of the pieces
-        before it.  Then the atoms in (0, 1] and running sums of their |w|."""
-        lo = np.array([p.lo for p in self.pieces])
-        cut_lists = [[0.0, *_real_roots_in(p.coeffs, p.length), p.length]
-                     for p in self.pieces]
-        n_cut = max(map(len, cut_lists), default=0)
-        anti = np.zeros((max((len(p.coeffs) + 1 for p in self.pieces), default=0), len(lo)))
-        cuts = np.empty((n_cut, len(lo)))
-        for i, (p, c) in enumerate(zip(self.pieces, cut_lists)):
-            anti[: len(p.coeffs) + 1, i] = _poly_antideriv(p.coeffs)
-            cuts[:, i] = c + [p.length] * (n_cut - len(c))
-        at_cut = _poly_val(anti, cuts)
-        whole = np.zeros_like(lo)
-        for j in range(n_cut - 1):
-            whole = whole + np.abs(at_cut[j + 1] - at_cut[j])
-        before = np.concatenate([[0.0], np.cumsum(whole)[:-1]])
-        jump_x = np.array([a.x for a in self.atoms if a.x > 0.0])
-        jumps = np.concatenate([[0.0], np.cumsum([abs(a.w) for a in self.atoms if a.x > 0.0])])
-        return lo, anti, cuts, at_cut, before, jump_x, jumps
+    def _table(self) -> _PieceTable:
+        return _PieceTable(self.pieces, self.atoms)
 
     # ------------------------------------------------------------------
     # structural queries
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted union of piece endpoints and atom positions."""
-        pts = set()
-        for p in self.pieces:
-            pts.add(p.lo)
-            pts.add(p.hi)
-        for a in self.atoms:
-            pts.add(a.x)
-        return tuple(sorted(pts))
+        t = self._table
+        return tuple(sorted({*t.lo.tolist(), *t.hi.tolist(), *(a.x for a in self.atoms)}))
 
     def atom_weight(self, x: float) -> float:
         for a in self.atoms:
@@ -319,25 +338,20 @@ class Measure:
         return Measure(pieces, atoms)
 
     def plus(self, other: "Measure") -> "Measure":
-        """Sum of two measures with pieces split on the joint breakpoints."""
-        cuts = sorted(
-            {0.0, 1.0}
-            | {p.lo for p in self.pieces} | {p.hi for p in self.pieces}
-            | {p.lo for p in other.pieces} | {p.hi for p in other.pieces}
-        )
-        pieces = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            combined = [0.0]
-            for m in (self, other):
-                for p in m.pieces:
-                    if p.lo <= lo and hi <= p.hi:
-                        shifted = _shift_poly(p.coeffs, lo - p.lo)
-                        if len(shifted) > len(combined):
-                            combined += [0.0] * (len(shifted) - len(combined))
-                        for i, c in enumerate(shifted):
-                            combined[i] += c
-            if any(c != 0.0 for c in combined):
-                pieces.append(PolynomialPiece(lo, hi, tuple(combined)))
+        """Sum of two measures with pieces split on the joint breakpoints.
+
+        Each side's density is re-expanded on the merged cells at once; a
+        cell keeps as many coefficients as its longest covering piece."""
+        mine, theirs = self._table, other._table
+        cuts = np.unique(np.concatenate([[0.0, 1.0], mine.lo, mine.hi, theirs.lo, theirs.hi]))
+        lo, hi = cuts[:-1], cuts[1:]
+        rows = max(len(mine.rho), len(theirs.rho), 1)
+        (coef_a, n_a), (coef_b, n_b) = mine.shifted(lo, hi, rows), theirs.shifted(lo, hi, rows)
+        coeffs = coef_a + coef_b
+        keep = np.any(coeffs != 0.0, axis=0)
+        n = np.maximum(np.maximum(n_a, n_b), 1)[keep]
+        pieces = [PolynomialPiece(l, h, tuple(c[:m])) for l, h, c, m in zip(
+            lo[keep].tolist(), hi[keep].tolist(), coeffs.T[keep].tolist(), n.tolist())]
         weights: dict[float, float] = {}
         for m in (self, other):
             for a in m.atoms:
@@ -415,14 +429,10 @@ def oscillation_sequence(m: int) -> Measure:
     xs = np.linspace(0.0, 1.0, n_cells + 1)
     rho = amp * np.cos(freq * xs)
     slope = -amp * freq * np.sin(freq * xs)
-    pieces = []
-    for i in range(n_cells):
-        h = xs[i + 1] - xs[i]
-        r0, r1 = rho[i], rho[i + 1]
-        d0, d1 = slope[i], slope[i + 1]
-        c2 = (3.0 * (r1 - r0) / h - 2.0 * d0 - d1) / h
-        c3 = (2.0 * (r0 - r1) / h + d0 + d1) / (h * h)
-        pieces.append(PolynomialPiece(xs[i], xs[i + 1], (r0, d0, c2, c3)))
+    h, r0, r1, d0, d1 = np.diff(xs), rho[:-1], rho[1:], slope[:-1], slope[1:]
+    c2 = (3.0 * (r1 - r0) / h - 2.0 * d0 - d1) / h
+    c3 = (2.0 * (r0 - r1) / h + d0 + d1) / (h * h)
+    pieces = [PolynomialPiece(lo, hi, c) for lo, hi, *c in zip(xs[:-1], xs[1:], r0, d0, c2, c3)]
     return Measure(tuple(pieces))
 
 
@@ -500,13 +510,15 @@ def ls_integral(
 
 
 def lebesgue_integral_of_induced(mu: Measure) -> float:
-    """Integral over [0, 1] of the induced function x -> mu([0, x])."""
-    total = 0.0
-    for piece in mu.pieces:
-        anti = _poly_antideriv(piece.coeffs)
-        inner = _poly_antideriv(anti)
-        total += float(_poly_val(inner, piece.length))
-        total += float(_poly_val(anti, piece.length)) * (1.0 - piece.hi)
+    """Integral over [0, 1] of the induced function x -> mu([0, x]).
+
+    Per piece, in order, the integral of its antiderivative over the piece,
+    then its mass times 1 - hi; then each atom's weight times 1 - x.
+    """
+    t = mu._table
+    inner = np.vstack([np.zeros(len(t.lo)), t.anti / np.arange(1.0, len(t.anti) + 1)[:, None]])
+    terms = np.stack([_poly_val(inner, t.length), _poly_val(t.anti, t.length) * (1.0 - t.hi)])
+    total = float(np.cumsum(terms.T)[-1]) if len(t.lo) else 0.0
     for atom in mu.atoms:
         total += atom.w * (1.0 - atom.x)
     return total

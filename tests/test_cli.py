@@ -392,3 +392,22 @@ def test_bad_number_flags_are_bad_arguments(capsys, command):
 def test_bad_numbers_in_measure_literals_stay_parse_errors(capsys, literal):
     assert main(["solve", "--p", literal, "--lambda", "1"]) == 2
     assert _stderr_error(capsys)["error"] == "MEASURE_PARSE"
+
+
+@pytest.mark.parametrize("command,message", [
+    (["solve", "--lambda", "abc"], "cannot parse complex number"),
+    (["solve", "--lambda", "64", "--init", "1,0"], "three comma-separated values"),
+    (["lab", "solcont", "--lambda", ","], "need at least one lambda"),
+    (["lab", "solcont", "--family", "oscillation", "--m", "2,x"],
+     "cannot parse integer list"),
+    (["lab", "solcont", "--family", "oscillation", "--m", ","], "need at least one entry"),
+    (["lab", "solcont", "--family", "lebesgue", "--epsilons", ","],
+     "need at least one entry"),
+    (["charfn", "--bc", "1", "--lambda", "5:1"], "lambda range needs lo < hi"),
+    (["eig", "--bc", "1", "--n-min", "3", "--n-max", "2"], "need --n-min <= --n-max"),
+    (["sens", "--bc", "1", "--n-min", "3", "--n-max", "2"], "need --n-min <= --n-max"),
+])
+def test_malformed_lists_and_ranges_are_bad_arguments(capsys, command, message):
+    assert main(command) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "BAD_ARGUMENT" and message in err["message"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stieltjes_spec.errors import (
     BadArgumentError,
     ConvergenceError,
+    DeterminantError,
     MeshRefinementError,
     NumericalError,
     UnsupportedMeasureError,
@@ -1231,19 +1232,66 @@ def test_a_series_out_of_terms_is_refused(monkeypatch, tmp_path, capsys):
 def test_a_series_that_overflows_is_refused(monkeypatch, capsys):
     # terms of 1e308 overflow y at the second term; V = 0.009 keeps the
     # tail bound representable, so the stop accepts and the finiteness
-    # check refuses (the overflow emits numpy's RuntimeWarning first)
+    # check refuses; the typed error is the only signal, so under the
+    # suite's error::RuntimeWarning filter no numpy warning may come first
     def huge(self, vals, edge_vals):
         return (np.full((6, self.geo.n), 1e308 + 0j),
                 np.full(self.geo.n + 1, 1e308 + 0j))
 
     monkeypatch.setattr(ivp._Engine, "term", huge)
     p = Measure.point(0.4, 0.003)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(NumericalError, match="overflowed or produced NaN") as err:
-            solve_value(p, Measure.zero(), 64.0, InitialTriple(1, 0, 0))
-        assert type(err.value) is NumericalError
-        assert main(["solve", "--p", "atom:0.4:0.003", "--lambda", "64"]) == 3
-    assert _cli_error(capsys)["error"] == "NUMERICAL"
+    with pytest.raises(NumericalError, match="overflowed or produced NaN") as err:
+        solve_value(p, Measure.zero(), 64.0, InitialTriple(1, 0, 0))
+    assert type(err.value) is NumericalError
+    assert main(["solve", "--p", "atom:0.4:0.003", "--lambda", "64"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "NUMERICAL"
+
+
+def test_mesh_doubling_that_never_settles_is_refused(monkeypatch, capsys):
+    # a fault forced here only: every level's edge values move by 1e-6 per
+    # level, so no two levels agree and doubling runs out of levels
+    solve_level = ivp._iterate_on_level
+
+    def drifting(ws, lam, inits, cfg, level, mirror=False):
+        eng, results = solve_level(ws, lam, inits, cfg, level, mirror)
+        return eng, [(node, edge + 1e-6 * level, m) for node, edge, m in results]
+
+    monkeypatch.setattr(ivp, "_iterate_on_level", drifting)
+    with pytest.raises(MeshRefinementError, match="failed to stabilize") as err:
+        solve_value(Measure.point(0.4, 0.3), Measure.zero(), 64.0, InitialTriple(1, 0, 0))
+    ctx = err.value.context
+    assert set(ctx) == {"doublings", "gap"}
+    assert ctx["doublings"] == ivp._MAX_DOUBLINGS - 1
+    assert ctx["gap"] > 10.0 * SolverConfig().tol
+    assert main(["solve", "--p", "atom:0.4:0.3", "--lambda", "64"]) == 3
+    assert _cli_error(capsys)["error"] == "MESH_REFINEMENT"
+
+
+def test_a_determinant_off_one_is_refused(monkeypatch):
+    # a fault forced here only: N(x) scaled by 1.01 has det 1.01^3
+    matrix = FundamentalPath.matrix
+    monkeypatch.setattr(FundamentalPath, "matrix", lambda self, x: 1.01 * matrix(self, x))
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    with pytest.raises(DeterminantError, match="det N drifted from 1") as err:
+        fundamental_matrix(p, q, 64.0, 0.75)
+    ctx = err.value.context
+    assert set(ctx) == {"x", "drift"}
+    assert ctx["x"] == 0.75
+    assert ctx["drift"] == pytest.approx(1.01 ** 3 - 1.0, rel=1e-6)
+
+
+def test_an_atom_off_the_mesh_is_refused(monkeypatch, capsys):
+    # a fault forced here only: a mesh that leaves out the breakpoints, so
+    # the atom at 0.4 (256 * 0.4 = 102.4) falls inside a cell
+    monkeypatch.setattr(Workspace, "_base_edges",
+                        lambda self, n: np.linspace(0.0, 1.0, n + 1))
+    with pytest.raises(BadArgumentError, match="atom at 0.4 is not a mesh edge") as err:
+        solve_value(Measure.point(0.4, 0.3), Measure.zero(), 64.0, InitialTriple(1, 0, 0))
+    assert err.value.context == {"x": 0.4}
+    assert main(["solve", "--p", "atom:0.4:0.3", "--lambda", "64"]) == 2
+    assert _cli_error(capsys)["error"] == "BAD_ARGUMENT"
 
 
 def test_zero_pair_path_is_the_closed_form_after_one_zero_term():

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from stieltjes_spec import lab
+from stieltjes_spec.cli import main
 from stieltjes_spec.errors import BadArgumentError
 from stieltjes_spec.ivp import SolverConfig
 from stieltjes_spec.lab import (
@@ -147,6 +149,22 @@ def test_audit_zero_potential():
         assert r < 1e-6
 
 
+def test_audit_records_a_violated_bound(monkeypatch, capsys):
+    # a fault forced here only: an envelope rate of -50 puts every bound
+    # far below the solutions, so the audit records violations and the
+    # CLI reports them (the audit is a report, so it still exits 0)
+    monkeypatch.setattr(lab, "xi_bound", lambda x, lam: math.exp(-50.0 * x))
+    rep = bound_audit(Measure.point(0.4, 0.3), Measure.zero(), (64.0,))
+    assert not rep.ok
+    lam, kind, j, x, ratio = rep.violations[0]
+    assert (lam, kind, j) == (64.0, "solution", 1)
+    assert 0.0 <= x <= 1.0 and ratio > 1.0
+    assert {v[1] for v in rep.violations} == {"solution", "comparison"}
+    assert main(["lab", "bounds", "--p", "atom:0.4:0.3", "--lambda", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "ok: false" in out
+
+
 def test_audit_random_atomic_pairs():
     rng = np.random.default_rng(20260816)
     for _ in range(3):
@@ -252,3 +270,14 @@ def test_continuity_rejects_an_empty_perturbation_list():
     # an empty report would pass its trend verdict vacuously
     with pytest.raises(BadArgumentError, match="perturbation"):
         solution_continuity(Measure.zero(), Measure.zero(), [], lams=(64.0,))
+
+
+def test_lab_solcont_oscillation_table_is_frozen(tmp_path, capsys):
+    # p perturbed by oscillation_sequence(4), 1536 cubic pieces, through the
+    # CLI: the table's sha256 is that of the per-piece loops' table
+    out = tmp_path / "osc.csv"
+    assert main(["lab", "solcont", "--family", "oscillation", "--m", "4",
+                 "--lambda", "64", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9eea6968232163fc3150da0ef1a1dff48cf61bfc30801a636fe60700cbe66e87")
+    assert "verdict: true" in capsys.readouterr().out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes_spec import measure
 from stieltjes_spec.errors import MeasureFormatError, MeasureParseError, QuadratureError
@@ -374,7 +376,7 @@ def test_abs_mass_to_matches_gauss_between_known_roots():
         for piece in pieces:
             roots = np.sort(np.roots(list(reversed(piece.coeffs))).real)
             xs = piece.lo + rng.uniform(-0.2, 1.2, 12) * piece.length
-            got = piece.abs_mass_to(xs)
+            got = Measure((piece,)).tv_function(xs)
             for x, g in zip(xs, got):
                 u = min(max(x - piece.lo, 0.0), piece.length)
                 cuts = np.concatenate([[0.0], roots[roots < u], [u]])
@@ -387,7 +389,165 @@ def test_abs_mass_to_matches_gauss_between_known_roots():
             mu.tv_function(1.0) + abs(mu.atom_weight(0.0)))) <= 1e-13
 
 
+def test_a_top_coefficient_too_small_to_divide_by_has_no_roots_in_range():
+    # 1 / 1e-320 overflows: np.roots refused the piece with a LinAlgError;
+    # the root of -0.25 + u at 0.25 is the one in [0, 1)
+    mu = Measure.from_density(0.0, 1.0, (-0.25, 1.0, 1e-320))
+    assert _real_roots_in(mu.pieces[0].coeffs, 1.0) == [0.25]
+    assert mu.total_variation() == pytest.approx(0.3125, abs=1e-16)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: PolynomialPiece(0.0, 1.0, ()), MeasureFormatError, "at least one coefficient"),
+    (lambda: Measure.from_dict([0.5]), MeasureParseError, "must be a JSON object"),
+    (lambda: Measure.from_dict({"pieces": [{"lo": 0.0, "hi": 1.0}]}), MeasureParseError,
+     "malformed measure entry"),
+    (lambda: oscillation_sequence(0), MeasureFormatError, "must be a positive integer"),
+    (lambda: ls_integral(lambda t: t, Measure.lebesgue(), 1.5), MeasureFormatError,
+     "endpoint 1.5 outside"),
+])
+def test_malformed_measure_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("m", [2.5, math.inf, math.nan])
 def test_oscillation_sequence_refuses_a_non_integral_index(m):
     with pytest.raises(MeasureFormatError, match="integer"):
         oscillation_sequence(m)
+
+
+# ---------------------------------------------------------------------------
+# the piece table against per-piece loops (the queries' former form)
+
+
+def loop_eval(mu, xs):
+    """Induced function: each piece's mass up to x, then each atom, in order."""
+    out = np.zeros_like(xs)
+    for p in mu.pieces:
+        anti = (0.0,) + tuple(c / (i + 1) for i, c in enumerate(p.coeffs))
+        out = out + _poly_val(anti, np.clip(xs - p.lo, 0.0, p.length))
+    for a in mu.atoms:
+        out = out + a.w * (xs >= a.x)
+    return np.where(xs == 0.0, 0.0, out)
+
+
+def loop_drift(mu, xs):
+    w0 = mu.atom_weight(0.0)
+    return loop_eval(mu, xs) - w0 * (xs > 0.0) if w0 != 0.0 else loop_eval(mu, xs)
+
+
+def loop_density(mu, xs):
+    out = np.zeros_like(xs)
+    for p in mu.pieces:
+        inside = (xs >= p.lo) & (xs < p.hi)
+        out[inside] = p.density(xs[inside])
+    return out
+
+
+def loop_shift(coeffs, d):
+    """A constant-first polynomial re-expanded about a point shifted by d."""
+    out = [0.0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        if c != 0.0:
+            for j in range(i + 1):
+                out[j] += c * math.comb(i, j) * d ** (i - j)
+    return out
+
+
+def loop_plus(a, b):
+    """Sum on the joint breakpoints, cell by cell and piece by piece."""
+    cuts = sorted({0.0, 1.0} | {x for m in (a, b) for p in m.pieces for x in (p.lo, p.hi)})
+    pieces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        combined = [0.0]
+        for m in (a, b):
+            for p in m.pieces:
+                if p.lo <= lo and hi <= p.hi:
+                    shifted = loop_shift(p.coeffs, lo - p.lo)
+                    combined += [0.0] * (len(shifted) - len(combined))
+                    for i, c in enumerate(shifted):
+                        combined[i] += c
+        if any(c != 0.0 for c in combined):
+            pieces.append(PolynomialPiece(lo, hi, tuple(combined)))
+    weights = {}
+    for m in (a, b):
+        for at in m.atoms:
+            weights[at.x] = weights.get(at.x, 0.0) + at.w
+    atoms = tuple(Atom(x, w) for x, w in sorted(weights.items()) if w != 0.0)
+    return Measure(tuple(pieces), atoms)
+
+
+# breakpoints on a coarse grid meet each other; the others fall anywhere
+_POSITIONS = st.one_of(st.integers(0, 16).map(lambda i: i / 16.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def table_measures(draw):
+    """0-3 pieces of degree <= 4, end to end or apart, and 0-3 atoms, one
+    of them at 0 at times."""
+    ends = sorted(set(draw(st.lists(_POSITIONS, max_size=4))))
+    pieces = tuple(
+        PolynomialPiece(lo, hi, tuple(draw(st.lists(st.floats(-3.0, 3.0),
+                                                    min_size=1, max_size=5))))
+        for lo, hi in zip(ends[:-1], ends[1:]) if draw(st.booleans()))
+    xs = draw(st.lists(_POSITIONS, max_size=3, unique=True))
+    weights = st.floats(-2.0, 2.0).filter(lambda w: w != 0.0)
+    return Measure(pieces, tuple(Atom(x, draw(weights)) for x in xs))
+
+
+def _query_points(mu, extra):
+    edges = np.array(mu.breakpoints() + (0.0, 1.0))
+    return np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                           extra, [-0.0, -0.25, 1.25]])
+
+
+_EXTRA = st.lists(st.floats(-0.1, 1.1), max_size=8).map(np.array)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(table_measures(), table_measures(), _EXTRA)
+def test_table_queries_are_the_per_piece_loops_bit_for_bit(a, b, extra):
+    for mu in (a, a.plus(b)):
+        xs = _query_points(mu, extra)
+        assert mu.eval_many(xs).tobytes() == loop_eval(mu, xs).tobytes()
+        assert mu.drift_many(xs).tobytes() == loop_drift(mu, xs).tobytes()
+        assert mu.density_many(xs).tobytes() == loop_density(mu, xs).tobytes()
+        assert mu.tv_function(xs).tobytes() == np.array([loop_tv(mu, x) for x in xs]).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(table_measures(), table_measures())
+def test_plus_is_the_cell_by_cell_loop_and_commutes(a, b):
+    # the same pieces, coefficient tuples of the same length, the same atoms
+    assert a.plus(b).to_json() == loop_plus(a, b).to_json()
+    assert a.plus(b).to_json() == b.plus(a).to_json()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_measures(), table_measures(), table_measures(), _EXTRA)
+def test_plus_associates_under_eval_to_rounding(a, b, c, extra):
+    left, right = a.plus(b).plus(c), a.plus(b.plus(c))
+    xs = _query_points(left, extra)
+    scale = sum(m.total_variation() for m in (a, b, c))
+    assert np.max(np.abs(left.eval_many(xs) - right.eval_many(xs))) <= 1e-14 * (1.0 + scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_measures(), table_measures())
+def test_scaled_plus_and_json_round_trip_exactly(a, b):
+    for mu in (a, a.scaled(-0.7), a.plus(b)):
+        back = Measure.from_json(mu.to_json())
+        assert back == mu and back.to_json() == mu.to_json()
+    assert a.scaled(-1.0).scaled(-1.0) == a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_measures(), st.floats(-2.0, 2.0).filter(lambda w: w != 0.0), _EXTRA)
+def test_origin_atoms_are_inert(mu, w, extra):
+    moved = mu.plus(Measure.point(0.0, w))
+    xs = _query_points(mu, extra)
+    assert moved.tv_function(xs).tobytes() == mu.tv_function(xs).tobytes()
+    # eval adds w on (0, 1] and drift takes it off again: equal to rounding
+    scale = mu.total_variation() + abs(w) + abs(moved.atom_weight(0.0))
+    assert np.max(np.abs(moved.drift_many(xs) - mu.drift_many(xs))) <= 4e-16 * scale

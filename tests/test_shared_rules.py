@@ -8,6 +8,7 @@ refuses bools, strings and None.
 """
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 import warnings
@@ -17,12 +18,14 @@ import pytest
 
 from stieltjes_spec.charfn import boundary_matrix, delta, real_split
 from stieltjes_spec.errors import BadArgumentError, MeasureFormatError
+from stieltjes_spec import ivp
 from stieltjes_spec.ivp import (
     FundamentalPath,
     InitialTriple,
     SolutionPath,
     SolverConfig,
     Workspace,
+    fundamental_matrix,
     solve_picard,
     solve_transfer,
     solve_value,
@@ -207,7 +210,27 @@ REFUSED = {
                "evaluation point must be finite"),
     "x string, fd check": (lambda: fundamental_fd_check(P, Q, 64.0, NU, x="0.5"),
                            "evaluation point must be finite"),
+    # so do those of N(x) and of a path: float() would take "0.5" and True
+    "x string, fundamental matrix": (lambda: fundamental_matrix(P, Q, 64.0, "0.5"),
+                                     "evaluation point must be finite"),
+    "x bool, fundamental matrix": (lambda: fundamental_matrix(P, Q, 64.0, True),
+                                   "evaluation point must be finite"),
+    "x None, fundamental matrix": (lambda: fundamental_matrix(P, Q, 64.0, None),
+                                   "evaluation point must be finite"),
+    "x bool, eval_y": (lambda: _path().eval_y(True), "must be real numbers"),
+    "x string, eval_yprime": (lambda: _path().eval_yprime("0.5"), "must be real numbers"),
+    "x None, eval_w": (lambda: _path().eval_w(None), "must be real numbers"),
+    "x numpy bool, eval_y": (lambda: _path().eval_y(np.bool_(True)), "must be real numbers"),
+    "x string array, eval_y": (lambda: _path().eval_y(np.array(["0.5", "1"])),
+                               "must be real numbers"),
+    "x bool array, eval_w": (lambda: _path().eval_w(np.array([True, False])),
+                             "must be real numbers"),
 }
+
+
+@functools.cache
+def _path():
+    return solve_picard(P, Q, 64.0, INIT)
 
 
 @pytest.mark.parametrize("name", REFUSED)
@@ -227,6 +250,16 @@ def test_spectral_shift_checks_epsilon_before_any_solve(monkeypatch):
     for bad in ("abc", math.nan, math.inf, None, True):
         with pytest.raises(BadArgumentError, match="epsilon must be finite"):
             spectral_shift(Z, Z, 1, 1, bad)
+
+
+def test_fundamental_matrix_checks_x_before_any_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the canonical columns were solved")
+
+    monkeypatch.setattr(ivp, "FundamentalPath", refuse)
+    for bad in ("0.5", True, None, math.nan, math.inf):
+        with pytest.raises(BadArgumentError, match="evaluation point must be finite"):
+            fundamental_matrix(P, Q, 64.0, bad)
 
 
 def test_eigenfunction_takes_a_complex_lambda_with_zero_imaginary_part():
