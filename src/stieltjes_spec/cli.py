@@ -501,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, with_init=True)
     s.add_argument("--lambda", dest="lam", required=True,
                    help="spectral parameter, complex accepted")
-    s.add_argument("--grid", type=int, default=256, help="uniform mesh floor")
+    s.add_argument("--grid", type=int, default=256,
+                   help="unit of the level-0 mesh ladder")
     s.set_defaults(func=cmd_solve)
 
     s = subs.add_parser("charfn", help="tabulate the characteristic function")
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bc", type=int, choices=(1, 2), required=True)
     s.add_argument("--grid", type=int, default=200, help="scan point count")
     s.add_argument("--grid-mesh", type=int, default=256,
-                   help="uniform mesh floor")
+                   help="unit of the level-0 mesh ladder")
     s.set_defaults(func=cmd_charfn)
 
     s = subs.add_parser("eig", help="locate eigenvalues by lattice index")

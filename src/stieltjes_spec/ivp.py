@@ -255,8 +255,8 @@ def _initial(init) -> InitialTriple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """mesh_size is the uniform refinement floor, tol the sup-norm target;
-    the Picard term cap is the module constant _MAX_TERMS."""
+    """mesh_size is the unit of the level-0 ladder (see _n_uniform), tol the
+    sup-norm target; the Picard term cap is the module constant _MAX_TERMS."""
 
     mesh_size: int = 256
     tol: float = 1e-9
@@ -600,7 +600,8 @@ class _Engine:
         np.take(np.exp(offset), geo.width_of, axis=-1, out=self.phase, mode="clip")
         # one zero_potential_rows call: the edges and nodes where the
         # exponential sums cancel, then the in-cell offsets of every width
-        # (|k| h <= _KH_MAX keeps these on the series branch too)
+        # (_n_uniform's ladder keeps |k| h <= _KH_MAX < _SERIES_SWITCH on
+        # every level, so these stay on the series branch too)
         reach = _SERIES_SWITCH / abs(k)
         self.near_edge = geo.edges < reach
         self.near_node = geo.tg.T < reach
@@ -923,9 +924,19 @@ def _effective(lam: complex) -> tuple[complex, float]:
 
 
 def _n_uniform(cfg: SolverConfig, k: complex) -> int:
+    """Level-0 cells per unit length n, with |k| <= n * _KH_MAX.
+
+    n is mesh_size times the lowest rung of the ladder 1, 2, 3, 4, 6, 8, 12,
+    16, ... (2^j and 3 * 2^(j - 1)) that meets the rule; Workspace._base_edges
+    keeps every cell at most 1/n wide, so |k| h <= _KH_MAX.  At most two
+    rungs fall in each octave, so a workspace swept over many lambdas caches
+    at most two level-0 sizes per doubling of |k|.
+    """
     n = cfg.mesh_size
     while n * _KH_MAX < abs(k):
         n *= 2
+    if n >= 4 * cfg.mesh_size and abs(k) <= (3 * n // 4) * _KH_MAX:
+        n = 3 * n // 4
     return n
 
 

@@ -182,7 +182,6 @@ def _winding(p, q, xi, center, radius, cfg, ws):
                      8 * (2 * math.ceil(radius / math.pi) + 1))
     else:
         base_m = 32  # one lattice window
-    last = None
     for bump in (1.0, 1.013, 0.987, 1.029):
         r_eff = radius * bump
         m = base_m
@@ -201,15 +200,13 @@ def _winding(p, q, xi, center, radius, cfg, ws):
             if float(np.max(np.abs(steps))) > _PHASE_STEP:
                 m *= 2
                 continue
+            # the ratios multiply to exactly 1 around the closed contour, so
+            # the steps sum to a whole number of turns up to m rounding errors
             winding = float(np.sum(steps)) / (2.0 * math.pi)
-            last = winding
-            if abs(winding - round(winding)) > 0.2:
-                m *= 2
-                continue
             return int(round(winding)), r_eff, vals
     raise ContourResolutionError(
         "winding count failed to stabilize",
-        xi=xi, center=center, radius=radius, winding=last,
+        xi=xi, center=center, radius=radius,
     )
 
 

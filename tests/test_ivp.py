@@ -1310,3 +1310,50 @@ def test_zero_pair_path_is_the_closed_form_after_one_zero_term():
             assert col.n_terms == 1
             assert np.array_equal(col.y, eng.initial_rows(init)[1])
             assert np.all(np.abs(col.y - rows[j]) <= 1e-13 * size)
+
+
+# ---------------------------------------------------------------------------
+# level-0 mesh: mesh_size times the lowest ladder rung that meets |k| h <= _KH_MAX
+
+
+def _is_rung(c):
+    """c is on the ladder 1, 2, 3, 4, 6, 8, 12, ...: 2^j or 3 * 2^(j - 1)."""
+    return c // (c & -c) in (1, 3)  # c over its largest power-of-two factor
+
+
+def _rung_below(c):
+    if c & (c - 1):  # 3 * 2^(j - 1)
+        return 2 * c // 3
+    return 3 * c // 4 if c >= 4 else c // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([1, 3, 256]), st.integers(1, 2048)),
+       st.floats(0.0, 420.0), st.floats(0.0, 2.0 * math.pi))
+@example(1, 0.12, 0.0)
+@example(3, 3 * 3 * 0.12, 0.0)  # |k| exactly on the rung-3 mesh's bound
+@example(256, 66.0, 0.0)  # an n = 11 window of the ROADMAP pair
+@example(256, 123.2, 0.0)  # |k| at lambda = -1.87e6
+@example(256, 420.0, 0.0)
+def test_level0_mesh_is_the_lowest_ladder_rung_that_meets_the_rule(size, r, phase):
+    k = cmath.rect(r, phase)
+    n = ivp._n_uniform(SolverConfig(mesh_size=size), k)
+    c, rest = divmod(n, size)
+    assert rest == 0 and _is_rung(c)
+    assert abs(k) <= n * ivp._KH_MAX
+    if c > 1:
+        assert size * _rung_below(c) * ivp._KH_MAX < abs(k)
+    doubled = size
+    while doubled * ivp._KH_MAX < abs(k):
+        doubled *= 2
+    assert n <= doubled
+
+
+@pytest.mark.parametrize("lam", [64.0, 2e5, 3.3e5, -1.87e6, 2e6])
+def test_widest_level0_cell_of_a_solve_meets_the_rule(lam):
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    ws = Workspace(p, q)
+    solve_value(p, q, lam, InitialTriple(1, 0, 0), workspace=ws)
+    (geo,) = [g for (_, _, level), g in ws._cache.items() if level == 0]
+    assert abs(cube_root(lam)) * float(np.max(np.diff(geo.edges))) <= ivp._KH_MAX

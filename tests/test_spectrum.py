@@ -1,5 +1,6 @@
 """Spectrum module tests against closed forms and matrix-exponential oracles."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from stieltjes_spec import spectrum
 from stieltjes_spec.charfn import _ROUTE_TOL, delta, real_split
+from stieltjes_spec.cli import main
 from stieltjes_spec.errors import (
     BadArgumentError,
+    ContourResolutionError,
     NumericalError,
     RootSearchError,
     SpectrumConsistencyError,
@@ -491,6 +494,72 @@ def test_taylor_root_predicts_a_lone_window_root(monkeypatch):
     t = _taylor_root(vals)
     assert abs(t.imag) <= 1e-13
     assert center + radius * t.real == pytest.approx(root, abs=1e-12)
+
+
+def _cli_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+_EIG_N1 = ["eig", "--p", "zero", "--q", "zero", "--bc", "1",
+           "--n-min", "1", "--n-max", "1"]
+
+
+@pytest.mark.parametrize("fault", ["phase", "zero"])
+def test_a_contour_that_never_resolves_is_refused(monkeypatch, capsys, fault):
+    # a fault forced here only: Delta alternates in sign on every contour, so
+    # each phase step is pi and doubling never ends; or one contour point is
+    # a zero at every radius
+    calls = []
+
+    def values(p, q, xi, lams, cfg, ws):
+        calls.append(len(lams))
+        if fault == "phase":
+            return (-1.0) ** np.arange(len(lams)) + 0j
+        vals = np.ones(len(lams), dtype=complex)
+        vals[3] = 0.0
+        return vals
+
+    monkeypatch.setattr(spectrum, "_delta_values", values)
+    with pytest.raises(ContourResolutionError, match="failed to stabilize") as err:
+        count_zeros_disc(Z, Z, 1, 2 * math.pi, THIRD)
+    assert err.value.context == {"xi": 1, "center": 2 * math.pi, "radius": THIRD}
+    per_radius = [32, 64, 128, 256] if fault == "phase" else [32]
+    assert calls == 4 * per_radius  # every resolution of all four radii
+    assert main(_EIG_N1) == 3
+    assert _cli_error(capsys)["error"] == "CONTOUR_RESOLUTION"
+
+
+def test_a_bracket_refinement_over_budget_is_refused(monkeypatch, capsys):
+    # a sign step at 0.3 costs Brent plain bisection: 40 halvings to 1e-12,
+    # inside the 44 evaluations of the budget, not inside the 32 left when
+    # the spare steps are set to -8 (here only)
+    def step(k):
+        return -1.0 if k < 0.3 else 1.0
+
+    assert abs(_refine_bracket(step, 0.0, 1.0, -1.0, 1.0, 1e-12) - 0.3) <= 1e-12
+    monkeypatch.setattr(spectrum, "_SPARE_STEPS", -8)
+    with pytest.raises(RootSearchError, match="overran its bisection budget") as err:
+        _refine_bracket(step, 0.0, 1.0, -1.0, 1.0, 1e-12)
+    ctx = err.value.context
+    assert set(ctx) == {"lo", "hi", "k", "width"}
+    assert (ctx["lo"], ctx["hi"]) == (0.0, 1.0)
+    assert abs(ctx["k"] - 0.3) <= ctx["width"]
+    assert 1e-12 < ctx["width"] < 1e-8
+    monkeypatch.setattr(spectrum, "_SPARE_STEPS", -60)
+    assert main(_EIG_N1) == 3
+    assert _cli_error(capsys)["error"] == "EIG_TRACKING"
+
+
+def test_window_ends_of_one_sign_are_refused(monkeypatch, capsys):
+    # a fault forced here only: the real characteristic has one sign at both
+    # window ends, though the winding count found one root between them
+    monkeypatch.setattr(spectrum, "_real_characteristic",
+                        lambda vals, xi: np.ones(np.shape(vals)))
+    with pytest.raises(RootSearchError, match="do not bracket") as err:
+        find_eigenvalue(Z, Z, 1, 1)
+    assert err.value.context == {"xi": 1, "n": 1, "window": localize(1, 1)}
+    assert main(_EIG_N1) == 3
+    assert _cli_error(capsys)["error"] == "EIG_TRACKING"
 
 
 def _count_engine_runs(monkeypatch):
