@@ -332,11 +332,15 @@ def _running_budget(p: Measure, q: Measure, x):
 class _Geometry:
     """Mesh plus every lambda-free quadrature tensor for one (p, q) pair.
 
-    What every engine reads is built here: nodes, weights, the densities
-    at nodes and sub-nodes, and the weight products gw_rho = (gw rho)^T and
-    gw_q = (gw q)^T, (6, n).  The two moment tensors m_rho0 (against
-    d(q + i p)) and m_p0 (against dt) serve only the recovery of w and y'
-    after a verified solve; each is built on first use.
+    It stores what engines and the recovery read, and nothing else: the
+    Gauss nodes tg and weights gw, (n, 6); q at the nodes (qg) and edges
+    (q_edge); the weight products gw_rho = (gw rho)^T and gw_q = (gw q)^T,
+    (6, n), with rho the density of q + i p; the sub-node weights w_rho and
+    w_q, (6, 8, n); the edges and the distinct widths.  The sub-node points,
+    their plain weights 0.5 h W and rho at the nodes are built, used once
+    and dropped.  The two moment tensors m_rho0 (against d(q + i p)) and
+    m_p0 (against dt) serve only the recovery of w and y' after a verified
+    solve; each is built on first use, as is budget_logs.
     """
 
     def __init__(self, p: Measure, q: Measure, edges: np.ndarray,
@@ -363,18 +367,18 @@ class _Geometry:
         # node-major: tau is (6, 8, n) for Gauss node b, sub-node s and cell i
         n_node, n_edge = 6 * self.n, 7 * self.n + 1
         pts = np.concatenate([self.tg.ravel(), edges, np.empty(48 * self.n)])
-        self.tau = pts[n_edge:].reshape(6, 8, self.n)
-        np.add(centers, 0.5 * h * _PARTIAL_ETA[:, :, None], out=self.tau)
-        self.w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
-        # the node and edge values are copied out, so the sub-node ones can go
+        tau = pts[n_edge:].reshape(6, 8, self.n)
+        np.add(centers, 0.5 * h * _PARTIAL_ETA[:, :, None], out=tau)
+        w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
+        # the node and edge values are copied out, so the point values can go
         q_at, rho = q.drift_many(pts), 1j * p.density_many(pts)
         rho += q.density_many(pts)
-        self.qg, self.rho_g = (a[:n_node].reshape(self.n, 6).copy() for a in (q_at, rho))
+        self.qg = q_at[:n_node].reshape(self.n, 6).copy()
         self.q_edge = q_at[n_node:n_edge].copy()
-        self.gw_rho = np.ascontiguousarray((self.gw * self.rho_g).T)
+        self.gw_rho = np.ascontiguousarray((self.gw * rho[:n_node].reshape(self.n, 6)).T)
         self.gw_q = np.ascontiguousarray((self.gw * self.qg).T)
-        self.w_q = self.w_plain * q_at[n_edge:].reshape(self.tau.shape)
-        self.w_rho = self.w_plain * rho[n_edge:].reshape(self.tau.shape)
+        self.w_q = w_plain * q_at[n_edge:].reshape(tau.shape)
+        self.w_rho = w_plain * rho[n_edge:].reshape(tau.shape)
         # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
         self.atoms = [(_edge_index(edges, x_a), x_a, d_mu)
                       for x_a, d_mu in _interior_atoms(p, q)]
@@ -398,7 +402,8 @@ class _Geometry:
 
     @cached_property
     def m_p0(self) -> np.ndarray:
-        return _partial_moments(self.w_plain)
+        # 0.5 h W with h taken by the same np.diff as in _gauss_cells
+        return _partial_moments(0.5 * np.diff(self.edges) * _PARTIAL_W[:, :, None])
 
     def refined(self) -> "_Geometry":
         """Split every cell in half; parent edges appear at even indices."""
@@ -412,15 +417,14 @@ class _Geometry:
         """The geometry of (-p, q) on the same edges, bit for bit.
 
         A density of p.scaled(-1.0) is the exact negation of p's, so the
-        view conjugates rho_g, gw_rho, w_rho and the atom weights and shares
-        every other array, budget_logs included.  It is built per solve and
+        view conjugates gw_rho, w_rho and the atom weights and shares every
+        other array, budget_logs included.  It is built per solve and
         cached nowhere; m_rho0 is left to be rebuilt.  The view of (p + dx, q)
         at -lambda - 1 solves (-p, q) at -lambda: the shift identity, c = -1.
         """
         view = object.__new__(_Geometry)
         view.__dict__.update(self.__dict__)
         view.p = self.p.scaled(-1.0)
-        view.rho_g = self.rho_g.conjugate()
         view.gw_rho = self.gw_rho.conjugate()
         view.w_rho = self.w_rho.conjugate()
         view.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in self.atoms]

@@ -716,6 +716,18 @@ def _kernel_geometry(mesh, seed, lam):
     return Workspace(p, q).geometry(shift_c, n_uni, level), lam_eff
 
 
+def _sub_nodes(geo):
+    """The sub-node points tau, (6, 8, n), of the partial integrals."""
+    h = np.diff(geo.edges)
+    centers = 0.5 * (geo.edges[:-1] + geo.edges[1:])
+    return centers + 0.5 * h * ivp._PARTIAL_ETA[:, :, None]
+
+
+def _plain_weights(geo):
+    """The sub-node weights 0.5 h W against dt, (6, 8, n)."""
+    return 0.5 * np.diff(geo.edges) * ivp._PARTIAL_W[:, :, None]
+
+
 def _reference_term(geo, lam_eff, vals, edge_vals):
     """One Picard term built the direct way.
 
@@ -729,10 +741,11 @@ def _reference_term(geo, lam_eff, vals, edge_vals):
     e_node = np.exp(-np.multiply.outer(iok, geo.tg))
     u_node = np.exp(np.multiply.outer(iok, geo.tg))
     u_edge = np.exp(np.multiply.outer(iok, geo.edges))
-    e_sub = np.exp(-np.multiply.outer(iok, geo.tau))  # (3, 6, 8, n)
+    e_sub = np.exp(-np.multiply.outer(iok, _sub_nodes(geo)))  # (3, 6, 8, n)
+    rho_g = geo.q.density_many(geo.tg) + 1j * geo.p.density_many(geo.tg)
     zero = np.zeros((3, 1), dtype=complex)
     channels = []
-    for w_sub, w_cell in ((geo.w_rho, geo.rho_g), (geo.w_q, geo.qg)):
+    for w_sub, w_cell in ((geo.w_rho, rho_g), (geo.w_q, geo.qg)):
         m = np.einsum("bsi,jbsi,bsa->jiba", w_sub, e_sub, ivp._PARTIAL_L)
         cell = np.einsum("jia,ia->ji", e_node, geo.gw * w_cell * vals)
         edge = np.concatenate([zero, np.cumsum(cell, axis=1)], axis=1)
@@ -786,7 +799,7 @@ def test_mixed_channel_term_matches_direct_construction(case):
     for got, want in ((got_node, want_node), (got_edge, want_edge)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the lambda-free moment tensors share the batched contraction
-    for m, w_sub in ((geo.m_rho0, geo.w_rho), (geo.m_p0, geo.w_plain)):
+    for m, w_sub in ((geo.m_rho0, geo.w_rho), (geo.m_p0, _plain_weights(geo))):
         want = np.einsum("bsi,bsa->bai", w_sub, ivp._PARTIAL_L)
         assert np.max(np.abs(m - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
     if mesh == "many":
@@ -927,9 +940,9 @@ def test_recovery_tensors_are_built_on_first_use():
 
 # every array the engine and budget_logs read; the first group is shared
 # with the direct geometry, the second conjugated
-_SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "tau",
-                  "w_plain", "w_q", "widths", "width_of")
-_CONJUGATED_ARRAYS = ("rho_g", "gw_rho", "w_rho")
+_SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "w_q",
+                  "widths", "width_of")
+_CONJUGATED_ARRAYS = ("gw_rho", "w_rho")
 
 
 @st.composite
@@ -977,7 +990,7 @@ def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
     geo = ws.geometry(0.0, 16, level)
     if warm:
         geo.budget_logs
-    rho_g = geo.rho_g.copy()
+    gw_rho = geo.gw_rho.copy()
     view = geo.conjugated()
     fresh = ivp._Geometry(p.scaled(-1.0), q, geo.edges)
     for name in _SHARED_ARRAYS + _CONJUGATED_ARRAYS + ("budget_logs",):
@@ -986,8 +999,43 @@ def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
         assert getattr(view, name) is getattr(geo, name), name
     assert (view.n, view.picard_budget, view.atoms) == (
         fresh.n, fresh.picard_budget, fresh.atoms)
-    assert np.array_equal(geo.rho_g, rho_g)
+    assert np.array_equal(geo.gw_rho, gw_rho)
     assert view not in ws._cache.values() and len(ws._cache) == level + 1
+
+
+# every attribute a geometry stores before its lazy tensors are built
+_STORED = {"p", "q", "edges", "picard_budget", "tg", "gw", "n", "widths",
+           "width_of", "qg", "q_edge", "gw_rho", "gw_q", "w_q", "w_rho", "atoms"}
+_LAZY = ("budget_logs",) + _RECOVERY_TENSORS
+
+
+def _stored_bytes(geo) -> int:
+    """Bytes of every buffer the geometry's eager arrays keep alive: a view
+    counts the whole array it was cut from, once."""
+    roots = {}
+    for name, value in vars(geo).items():
+        if isinstance(value, np.ndarray) and name not in _LAZY:
+            while value.base is not None:
+                value = value.base
+            roots[id(value)] = value.nbytes
+    return sum(roots.values())
+
+
+@pytest.mark.parametrize("kind", ["level 0", "refined", "conjugated"])
+def test_a_geometry_stores_only_what_engines_read(kind):
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    ws = Workspace(p, q)
+    geo = ws.geometry(0.0, 256, 1 if kind == "refined" else 0)
+    if kind == "conjugated":
+        geo = geo.conjugated()
+    assert set(vars(geo)) == _STORED
+    assert _stored_bytes(geo) <= 1520 * geo.n
+    # the lazy tensors come on top, and m_p0 keeps the bits of the plain
+    # sub-node weights 0.5 h W
+    assert geo.m_p0.tobytes() == ivp._partial_moments(_plain_weights(geo)).tobytes()
+    geo.budget_logs, geo.m_rho0
+    assert set(vars(geo)) == _STORED | set(_LAZY)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,30 @@ def test_counting_threshold_overflow():
             counting_threshold(Z, Z, 1, c_pi=c_pi)
 
 
+def test_counting_threshold_is_minimal_where_the_guess_falls_short():
+    """With zero measures and c_pi on the lattice, the bound lands on a
+    lattice point up to rounding, so the ceil guess often equals it and the
+    rounding loop steps N once more; N is still the least certified index."""
+    short = {1: 0, 2: 0}
+    for m in range(1, 41):
+        # xi = 1: bound = 2.25 c_pi, certified when (2N + 1) pi > bound
+        c_pi = (2 * m + 1) * math.pi / 2.25
+        bound = 2.25 * c_pi
+        guess = math.ceil((bound / math.pi - 1.0) / 2.0)
+        short[1] += (2 * guess + 1) * math.pi <= bound
+        n = counting_threshold(Z, Z, 1, c_pi=c_pi)
+        assert (2 * n + 1) * math.pi > bound >= (2 * n - 1) * math.pi, m
+        # xi = 2: bound = 4.5 c_pi (the log terms are smaller), certified
+        # when 2N pi > bound
+        c_pi = 2 * m * math.pi / 4.5
+        bound = 4.5 * c_pi
+        guess = math.ceil(bound / (2.0 * math.pi))
+        short[2] += 2 * guess * math.pi <= bound
+        n = counting_threshold(Z, Z, 2, c_pi=c_pi)
+        assert 2 * n * math.pi > bound >= 2 * (n - 1) * math.pi, m
+    assert short[1] > 0 and short[2] > 0
+
+
 def test_count_zero_potential_central_discs():
     assert count_zeros_disc(Z, Z, 1, 0.0, 5 * math.pi) == 5
     assert count_zeros_disc(Z, Z, 2, 0.0, 4 * math.pi) == 4
