@@ -341,6 +341,12 @@ class _Geometry:
     and dropped.  The two moment tensors m_rho0 (against d(q + i p)) and
     m_p0 (against dt) serve only the recovery of w and y' after a verified
     solve; each is built on first use, as is budget_logs.
+
+    rho is float64 when the density of p is 0 at every queried point (p
+    atomic or zero, the shifted p + dx excepted), and so are gw_rho, w_rho
+    and m_rho0; otherwise complex128.  The bits of every solve are those of
+    a complex rho with +0 imaginary parts: numpy widens a float64 operand
+    of a complex product or sum to exactly that before the operation.
     """
 
     def __init__(self, p: Measure, q: Measure, edges: np.ndarray,
@@ -370,9 +376,11 @@ class _Geometry:
         tau = pts[n_edge:].reshape(6, 8, self.n)
         np.add(centers, 0.5 * h * _PARTIAL_ETA[:, :, None], out=tau)
         w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
-        # the node and edge values are copied out, so the point values can go
-        q_at, rho = q.drift_many(pts), 1j * p.density_many(pts)
-        rho += q.density_many(pts)
+        # the node and edge values are copied out, so the point values can go;
+        # rho = q' + i p' is real where p' vanishes at every point
+        q_at, p_rho, rho = q.drift_many(pts), p.density_many(pts), q.density_many(pts)
+        if np.any(p_rho):
+            rho = 1j * p_rho + rho
         self.qg = q_at[:n_node].reshape(self.n, 6).copy()
         self.q_edge = q_at[n_node:n_edge].copy()
         self.gw_rho = np.ascontiguousarray((self.gw * rho[:n_node].reshape(self.n, 6)).T)
@@ -417,18 +425,25 @@ class _Geometry:
         """The geometry of (-p, q) on the same edges, bit for bit.
 
         A density of p.scaled(-1.0) is the exact negation of p's, so the
-        view conjugates gw_rho, w_rho and the atom weights and shares every
-        other array, budget_logs included.  It is built per solve and
-        cached nowhere; m_rho0 is left to be rebuilt.  The view of (p + dx, q)
-        at -lambda - 1 solves (-p, q) at -lambda: the shift identity, c = -1.
+        view conjugates the atom weights and a complex gw_rho and w_rho,
+        leaving m_rho0 to be rebuilt, and shares every other array,
+        budget_logs included.  A real rho is its own conjugate, so the view
+        shares gw_rho, w_rho and m_rho0 too.  Conjugated complex copies
+        would hold -0 imaginary parts where the widened real arrays give
+        +0, so products with them can differ only in the sign of a zero;
+        test_real_rho_solves_with_the_bits_of_a_complex_one checks that
+        every solve keeps its bytes.  The view is built per solve and
+        cached nowhere.  The view of (p + dx, q) at -lambda - 1 solves
+        (-p, q) at -lambda: the shift identity, c = -1.
         """
         view = object.__new__(_Geometry)
         view.__dict__.update(self.__dict__)
         view.p = self.p.scaled(-1.0)
-        view.gw_rho = self.gw_rho.conjugate()
-        view.w_rho = self.w_rho.conjugate()
         view.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in self.atoms]
-        view.__dict__.pop("m_rho0", None)
+        if np.iscomplexobj(self.w_rho):
+            view.gw_rho = self.gw_rho.conjugate()
+            view.w_rho = self.w_rho.conjugate()
+            view.__dict__.pop("m_rho0", None)
         return view
 
     def prefix(self, vals, weights, moments, jumps=()):
@@ -476,15 +491,31 @@ class Workspace:
         return np.concatenate(edges)
 
     def geometry(self, shift_c: float, n_uniform: int, level: int) -> _Geometry:
+        """The geometry of one engine run, built on first use and cached.
+
+        Each engine run looks its geometry up here once, and nothing else
+        does: _build makes one ahead of its run without a lookup.  A level
+        above 0 looks its parent up first, so a build that is not made
+        ahead is seen by a lookup.
+        """
         key = (shift_c, n_uniform, level)
         if key not in self._cache:
             if level > 0:
-                parent = self.geometry(shift_c, n_uniform, level - 1)
-                self._cache[key] = parent.refined()
-            else:
-                p_eff = self.p.plus(Measure.lebesgue(shift_c)) if shift_c else self.p
-                self._cache[key] = _Geometry(p_eff, self.q, self._base_edges(n_uniform))
+                self.geometry(shift_c, n_uniform, level - 1)
+            self._build(shift_c, n_uniform, level)
         return self._cache[key]
+
+    def _build(self, shift_c: float, n_uniform: int, level: int) -> None:
+        """Cache the geometry of a later engine run, and the levels below it."""
+        key = (shift_c, n_uniform, level)
+        if key in self._cache:
+            return
+        if level > 0:
+            self._build(shift_c, n_uniform, level - 1)
+            self._cache[key] = self._cache[(shift_c, n_uniform, level - 1)].refined()
+        else:
+            p_eff = self.p.plus(Measure.lebesgue(shift_c)) if shift_c else self.p
+            self._cache[key] = _Geometry(p_eff, self.q, self._base_edges(n_uniform))
 
 
 def _workspace_for(p: Measure, q: Measure, workspace: Workspace | None) -> Workspace:
@@ -968,6 +999,10 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
     comparison: two levels can meet it only by a chance agreement of their
     rounding errors, which certifies nothing.
     """
+    # level 1, which every verified solve runs, is built before the level-0
+    # engine: a mesh that cannot be refined is refused at no engine run
+    lam_eff, shift_c = _effective(lam)
+    ws._build(shift_c, _n_uniform(cfg, _supported_root(lam_eff)), 1)
     prev_edges = None
     gap = math.inf
     for level in range(_MAX_DOUBLINGS):

@@ -519,6 +519,36 @@ def test_refined_zero_width_cell_is_refused():
     assert err.value.context == {"x": upper}
 
 
+def test_a_mesh_that_cannot_be_refined_is_refused_before_any_engine_runs(monkeypatch):
+    # every verified solve runs level 1, so it is built before the level-0
+    # engine: the refusal costs no engine run, direct or mirror
+    upper = math.nextafter(0.3, 1.0)
+    p = Measure.point(0.3, 0.5).plus(Measure.point(upper, 0.4))
+    zero = Measure.zero()
+    init = InitialTriple(1, 0, 0)
+    runs = []
+    engine = ivp._Engine.__init__
+
+    def counted(eng, geo, *args):
+        runs.append(geo.n)
+        engine(eng, geo, *args)
+
+    monkeypatch.setattr(ivp._Engine, "__init__", counted)
+    for call in (lambda: solve_value(p, zero, 64.0, init),
+                 lambda: solve_picard(p, zero, 64.0, init),
+                 lambda: ivp._mirror_value(Workspace(p, zero), 64.0, init, None),
+                 lambda: real_split(p, zero, 64.0)):
+        with pytest.raises(BadArgumentError, match="strictly increasing") as err:
+            call()
+        assert err.value.context == {"x": upper}
+    assert runs == []
+    # one resolution needs no refinement, and agrees with the exact solver
+    got = solve_value(p, zero, 64.0, init, verify=False)
+    assert len(runs) == 1
+    assert abs(got - (-4.5117 - 9.7540j)) < 1e-4
+    assert abs(got - solve_transfer(p, zero, 64.0, init).y_at_one) <= 1e-13 * abs(got)
+
+
 def test_transfer_near_triple_root_matches_picard():
     # on the q = 0 segment the roots of r^3 + i lambda crowd the triple root
     # at 0 with gaps of order |lambda|^(1/3), above the degeneracy cut
@@ -939,10 +969,11 @@ def test_recovery_tensors_are_built_on_first_use():
 
 
 # every array the engine and budget_logs read; the first group is shared
-# with the direct geometry, the second conjugated
+# with the direct geometry, the second too when rho is real, and conjugated
+# when it is complex
 _SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "w_q",
                   "widths", "width_of")
-_CONJUGATED_ARRAYS = ("gw_rho", "w_rho")
+_RHO_ARRAYS = ("gw_rho", "w_rho")
 
 
 @st.composite
@@ -982,25 +1013,100 @@ def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
     """_Geometry.conjugated is (-p, q) on the same edges, bit for bit.
 
     It shares the lambda-free arrays with the direct geometry, whether that
-    one has built budget_logs or not, and leaves it and its workspace as
-    they were.
+    one has built budget_logs and m_rho0 or not, rho among them when it is
+    real, and leaves it and its workspace as they were.
     """
     p, q, level, warm = case
     ws = Workspace(p, q)
     geo = ws.geometry(0.0, 16, level)
     if warm:
-        geo.budget_logs
+        geo.budget_logs, geo.m_rho0
     gw_rho = geo.gw_rho.copy()
     view = geo.conjugated()
     fresh = ivp._Geometry(p.scaled(-1.0), q, geo.edges)
-    for name in _SHARED_ARRAYS + _CONJUGATED_ARRAYS + ("budget_logs",):
-        assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
-    for name in _SHARED_ARRAYS:
+    for name in _SHARED_ARRAYS + _RHO_ARRAYS + ("budget_logs", "m_rho0"):
+        got, want = getattr(view, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    pts = np.concatenate([geo.tg.ravel(), geo.edges, _sub_nodes(geo).ravel()])
+    real = not np.any(p.density_many(pts))
+    assert geo.w_rho.dtype == (float if real else complex)
+    if real:
+        shared = _SHARED_ARRAYS + _RHO_ARRAYS + (("m_rho0",) if warm else ())
+    else:
+        shared = _SHARED_ARRAYS
+    for name in shared:
         assert getattr(view, name) is getattr(geo, name), name
     assert (view.n, view.picard_budget, view.atoms) == (
         fresh.n, fresh.picard_budget, fresh.atoms)
     assert np.array_equal(geo.gw_rho, gw_rho)
     assert view not in ws._cache.values() and len(ws._cache) == level + 1
+
+
+def _widened(geo, conjugate=False):
+    """geo with rho stored complex, as it is for a p with a density.
+
+    gw_rho, w_rho and m_rho0 are promoted by astype(complex), with +0
+    imaginary parts.  conjugate gives the mirror view of that geometry as
+    conjugated() built it: the promoted arrays conjugated (-0 imaginary
+    parts), m_rho0 rebuilt from them, the atom weights conjugated.
+    """
+    out = object.__new__(ivp._Geometry)
+    out.__dict__.update(vars(geo))
+    out.gw_rho, out.w_rho = (a.astype(complex) for a in (geo.gw_rho, geo.w_rho))
+    out.m_rho0 = geo.m_rho0.astype(complex)
+    if conjugate:
+        out.p = geo.p.scaled(-1.0)
+        out.gw_rho, out.w_rho = out.gw_rho.conjugate(), out.w_rho.conjugate()
+        out.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in geo.atoms]
+        del out.m_rho0
+    return out
+
+
+def _engine_bytes(geo, lam_eff):
+    """y at the nodes and edges, the term count and the recovered channels
+    of one engine run, as bytes; a refused run gives its error."""
+    init = InitialTriple(0.3, -1.0, 2.5j)
+    eng = ivp._Engine(geo, lam_eff, SolverConfig())
+    try:
+        y_node, y_edge, m = eng.iterate(init)
+    except (ConvergenceError, NumericalError) as err:
+        return type(err), str(err)
+    node, edge = eng.recover(init, y_node, y_edge)
+    return y_node.tobytes(), y_edge.tobytes(), m, node.tobytes(), edge.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(conjugation_cases())
+@example((Measure.point(0.4, 0.3), Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5)),
+          1, False))
+@example((Measure.point(0.0, 0.5).plus(Measure.from_density(0.1, 0.6, (1.0, -0.5))),
+          Measure.point(0.3, 0.4), 0, True))
+def test_real_rho_solves_with_the_bits_of_a_complex_one(case):
+    """A real rho gives every engine output the bits of a complex one.
+
+    Direct: the geometry against its copy with rho widened to complex.
+    Mirror: the conjugated view against a fresh (-p, q) geometry and
+    against a view on conjugated complex copies, whose zero imaginary
+    parts are -0.
+    Below _SHIFT_MIN (lambda = 0.01) the shifted p + dx keeps rho complex.
+    """
+    p, q, level, _ = case
+    ws = Workspace(p, q)
+    for lam in (64.0, -300.0 + 40.0j, 2e6, 0.01):
+        lam_eff, shift_c = ivp._effective(lam)
+        n_uni = ivp._n_uniform(SolverConfig(), cube_root(lam_eff))
+        geo = ws.geometry(shift_c, n_uni, level)
+        # m_rho0 built from a complex w_rho is the widened real one
+        wide = ivp._partial_moments(geo.w_rho.astype(complex))
+        assert wide.tobytes() == geo.m_rho0.astype(complex).tobytes()
+        want = _engine_bytes(geo, lam_eff)
+        assert _engine_bytes(_widened(geo), lam_eff) == want
+        p_eff = p.plus(Measure.lebesgue(shift_c)) if shift_c else p
+        fresh = ivp._Geometry(p_eff.scaled(-1.0), q, geo.edges)
+        mirror = -lam_eff.conjugate()
+        want = _engine_bytes(fresh, mirror)
+        assert _engine_bytes(geo.conjugated(), mirror) == want
+        assert _engine_bytes(_widened(geo, conjugate=True), mirror) == want
 
 
 # every attribute a geometry stores before its lazy tensors are built
@@ -1009,32 +1115,46 @@ _STORED = {"p", "q", "edges", "picard_budget", "tg", "gw", "n", "widths",
 _LAZY = ("budget_logs",) + _RECOVERY_TENSORS
 
 
-def _stored_bytes(geo) -> int:
-    """Bytes of every buffer the geometry's eager arrays keep alive: a view
-    counts the whole array it was cut from, once."""
+def _stored_bytes(geo, *lazy) -> int:
+    """Bytes of every buffer the geometry's eager arrays, and the lazy ones
+    named, keep alive: a view counts the whole array it was cut from, once."""
     roots = {}
     for name, value in vars(geo).items():
-        if isinstance(value, np.ndarray) and name not in _LAZY:
+        if isinstance(value, np.ndarray) and (name not in _LAZY or name in lazy):
             while value.base is not None:
                 value = value.base
             roots[id(value)] = value.nbytes
     return sum(roots.values())
 
 
-@pytest.mark.parametrize("kind", ["level 0", "refined", "conjugated"])
+@pytest.mark.parametrize("kind", ["level 0", "refined", "conjugated",
+                                  "p with a density", "conjugated, p with a density"])
 def test_a_geometry_stores_only_what_engines_read(kind):
+    """On the ROADMAP pair, whose p has no density, rho is real: 1,032 bytes
+    per cell, 1,088 with budget_logs.  A density of p keeps rho complex:
+    1,464 and 1,520.  Edges, q_edge and the distinct widths add a few bytes
+    per geometry, below one per cell."""
     p = Measure.point(0.4, 0.3)
     q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    rho_type, per_cell = float, 1032
+    if "density" in kind:
+        p = p.plus(Measure.from_density(0.1, 0.8, (0.3, -1.2)))
+        rho_type, per_cell = complex, 1464
     ws = Workspace(p, q)
-    geo = ws.geometry(0.0, 256, 1 if kind == "refined" else 0)
-    if kind == "conjugated":
+    direct = geo = ws.geometry(0.0, 256, 1 if kind == "refined" else 0)
+    if kind.startswith("conjugated"):
         geo = geo.conjugated()
+        for name in _RHO_ARRAYS:
+            assert (getattr(geo, name) is getattr(direct, name)) == (rho_type is float)
     assert set(vars(geo)) == _STORED
-    assert _stored_bytes(geo) <= 1520 * geo.n
+    assert geo.gw_rho.dtype == geo.w_rho.dtype == rho_type
+    assert _stored_bytes(geo) < (per_cell + 1) * geo.n
     # the lazy tensors come on top, and m_p0 keeps the bits of the plain
     # sub-node weights 0.5 h W
     assert geo.m_p0.tobytes() == ivp._partial_moments(_plain_weights(geo)).tobytes()
-    geo.budget_logs, geo.m_rho0
+    geo.budget_logs
+    assert _stored_bytes(geo, "budget_logs") < (per_cell + 57) * geo.n
+    assert geo.m_rho0.dtype == rho_type
     assert set(vars(geo)) == _STORED | set(_LAZY)
 
 
