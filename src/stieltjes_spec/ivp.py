@@ -107,6 +107,35 @@ _PARTIAL_LT = np.ascontiguousarray(_PARTIAL_L.transpose(0, 2, 1))  # [b, a, s]
 # in units of the cell width, Gauss node b lies _PARTIAL_SPAN[b] from the
 # left edge and _SUB_OFFSET[b, s] from its s-th sub-node
 _SUB_OFFSET = 0.5 * (_G6_NODES[:, None] - _PARTIAL_ETA)
+# sub-node weights from Gauss weight products, rows node-major (b, s): for
+# the column gw f = 0.5 h _G6_WEIGHTS[a] f(t_a) of a cell, _SUB_FROM_GW @ gw f
+# is 0.5 h _PARTIAL_W[b, s] g(eta[b, s]), g the degree-5 interpolant of f at
+# the nodes t_a (h cancels): exact when f is a polynomial of degree <= 5
+_SUB_FROM_GW = (_PARTIAL_L * _PARTIAL_W[:, :, None] / _G6_WEIGHTS).reshape(48, 6)
+# cells per block of the sub-node weights (engine setup and m_rho0): it
+# bounds the setup's temporaries, and keeps _sub_weights' GEMM within 1,536
+# columns
+_SETUP_BLOCK = 512
+
+
+def _sub_weights(*gws: np.ndarray) -> list[np.ndarray]:
+    """_SUB_FROM_GW @ gw, (48, m), for each real or complex gw (6, m).
+
+    One real GEMM serves them all: their columns are copied side by side
+    into one buffer, a complex gw as its real view.  Up to 4,096 columns
+    OpenBLAS gives each column the same bits wherever it sits in the
+    buffer (measured; beyond that some column counts move a few), so a real
+    rho and its complex widening get the same weights as long as callers
+    pass at most _SETUP_BLOCK cells.
+    """
+    cols = [gw.view(float) for gw in gws]
+    wts = _SUB_FROM_GW @ np.concatenate(cols, axis=1)
+    out, at = [], 0
+    for gw, col in zip(gws, cols):
+        part = wts[:, at:at + col.shape[1]]
+        out.append(part.view(complex) if np.iscomplexobj(gw) else part)
+        at += col.shape[1]
+    return out
 
 
 def _partial_moments(weighted: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -185,6 +214,19 @@ def xi_bound(x: float, lam: complex) -> float:
     return math.exp(rate * float(x))
 
 
+def _series_rows(lam: complex, s: np.ndarray) -> np.ndarray:
+    """(y1, y2, y3) at the points s, (3, len(s)), by zero_potential_rows'
+    power series alone; its accuracy holds for |k s| below the switch."""
+    u = (-1j * complex(lam)) * (s * s * s)
+    acc = _SERIES_COEF[:, -1:] * u + _SERIES_COEF[:, -2:-1]
+    for m in range(_SERIES_COEF.shape[1] - 3, -1, -1):
+        acc *= u
+        acc += _SERIES_COEF[:, m:m + 1]
+    acc[1] *= s
+    acc[2] *= s * s
+    return acc
+
+
 def zero_potential_rows(lam: complex, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First row (y1, y2, y3) of the zero-potential fundamental matrix at s.
 
@@ -211,15 +253,7 @@ def zero_potential_rows(lam: complex, s) -> tuple[np.ndarray, np.ndarray, np.nda
     y3 = np.empty(s.shape, dtype=complex)
     small = abs(k) * np.abs(s) < _SERIES_SWITCH
     if np.any(small):
-        ss = s[small]
-        u = (-1j * complex(lam)) * (ss * ss * ss)
-        acc = _SERIES_COEF[:, -1:] * u + _SERIES_COEF[:, -2:-1]
-        for m in range(_SERIES_COEF.shape[1] - 3, -1, -1):
-            acc *= u
-            acc += _SERIES_COEF[:, m:m + 1]
-        y1[small] = acc[0]
-        y2[small] = ss * acc[1]
-        y3[small] = (ss * ss) * acc[2]
+        y1[small], y2[small], y3[small] = _series_rows(lam, s[small])
     if not np.all(small):
         zb = k * s[~small]
         e = np.exp(1j * np.multiply.outer(_OMEGA_POW, zb))
@@ -301,11 +335,11 @@ def zero_potential(x: float, lam: complex) -> FundamentalMatrix:
 
 
 def _gauss_cells(cuts: np.ndarray):
-    """Widths h, centers, and the 6-point Gauss nodes and weights (n, 6) of
-    the cells between consecutive cuts."""
+    """Widths h and the 6-point Gauss nodes and weights (n, 6) of the cells
+    between consecutive cuts."""
     h = np.diff(cuts)
     centers = 0.5 * (cuts[:-1] + cuts[1:])
-    return (h, centers, centers[:, None] + 0.5 * h[:, None] * _G6_NODES,
+    return (h, centers[:, None] + 0.5 * h[:, None] * _G6_NODES,
             0.5 * h[:, None] * _G6_WEIGHTS)
 
 
@@ -335,18 +369,27 @@ class _Geometry:
     It stores what engines and the recovery read, and nothing else: the
     Gauss nodes tg and weights gw, (n, 6); q at the nodes (qg) and edges
     (q_edge); the weight products gw_rho = (gw rho)^T and gw_q = (gw q)^T,
-    (6, n), with rho the density of q + i p; the sub-node weights w_rho and
-    w_q, (6, 8, n); the edges and the distinct widths.  The sub-node points,
-    their plain weights 0.5 h W and rho at the nodes are built, used once
-    and dropped.  The two moment tensors m_rho0 (against d(q + i p)) and
+    (6, n), with rho the density of q + i p; the edges and the distinct
+    widths.  The measures are asked for values at the nodes and edges
+    only, 7n + 1 points.
+
+    The measures reach the sub-nodes of the partial integrals only through
+    gw_rho and gw_q: _SUB_FROM_GW maps a column gw f to 0.5 h W g(tau) at
+    the 48 sub-nodes tau of its cell, g the degree-5 interpolant of f at
+    the Gauss nodes.  That is exact when f is a polynomial of degree <= 5
+    on the cell, as rho is for densities of degree <= 5 and the drift q
+    for densities of q of degree <= 4 (every benchmark pair's are of
+    degree <= 1), and O(h^6) otherwise, the order at which the in-cell
+    kernel already interpolates the solution.  Engines form these
+    weights per setup; m_rho0 (against d(q + i p)) forms them once.  It and
     m_p0 (against dt) serve only the recovery of w and y' after a verified
     solve; each is built on first use, as is budget_logs.
 
-    rho is float64 when the density of p is 0 at every queried point (p
-    atomic or zero, the shifted p + dx excepted), and so are gw_rho, w_rho
-    and m_rho0; otherwise complex128.  The bits of every solve are those of
-    a complex rho with +0 imaginary parts: numpy widens a float64 operand
-    of a complex product or sum to exactly that before the operation.
+    rho is float64 when the density of p is 0 at every Gauss node (p
+    atomic or zero, the shifted p + dx excepted), and so are gw_rho and
+    m_rho0; otherwise complex128.  The bits of every solve are those of a
+    complex rho with +0 imaginary parts: numpy widens a float64 operand of
+    a complex product or sum to exactly that before the operation.
     """
 
     def __init__(self, p: Measure, q: Measure, edges: np.ndarray,
@@ -357,7 +400,7 @@ class _Geometry:
         if picard_budget is None:
             picard_budget = _running_budget(p, q, 1.0)
         self.picard_budget = picard_budget
-        h, centers, self.tg, self.gw = _gauss_cells(edges)
+        h, self.tg, self.gw = _gauss_cells(edges)
         if np.any(h <= 0):
             # refinement halves a cell of one ulp into a zero-width one
             x = float(edges[np.argmax(h <= 0)])
@@ -368,25 +411,17 @@ class _Geometry:
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
         self.widths, self.width_of = np.unique(h, return_inverse=True)
-        # every point each measure is asked for, in one array: the Gauss
-        # nodes, the edges, then the sub-nodes of the partial integrals,
-        # node-major: tau is (6, 8, n) for Gauss node b, sub-node s and cell i
-        n_node, n_edge = 6 * self.n, 7 * self.n + 1
-        pts = np.concatenate([self.tg.ravel(), edges, np.empty(48 * self.n)])
-        tau = pts[n_edge:].reshape(6, 8, self.n)
-        np.add(centers, 0.5 * h * _PARTIAL_ETA[:, :, None], out=tau)
-        w_plain = 0.5 * h * _PARTIAL_W[:, :, None]
-        # the node and edge values are copied out, so the point values can go;
-        # rho = q' + i p' is real where p' vanishes at every point
-        q_at, p_rho, rho = q.drift_many(pts), p.density_many(pts), q.density_many(pts)
+        # q at the Gauss nodes, then the edges; the densities at the nodes:
+        # rho = q' + i p' is real where p' vanishes at every node
+        nodes = self.tg.ravel()
+        q_at = q.drift_many(np.concatenate([nodes, edges]))
+        p_rho, rho = p.density_many(nodes), q.density_many(nodes)
         if np.any(p_rho):
             rho = 1j * p_rho + rho
-        self.qg = q_at[:n_node].reshape(self.n, 6).copy()
-        self.q_edge = q_at[n_node:n_edge].copy()
-        self.gw_rho = np.ascontiguousarray((self.gw * rho[:n_node].reshape(self.n, 6)).T)
+        self.qg = q_at[:6 * self.n].reshape(self.n, 6)
+        self.q_edge = q_at[6 * self.n:]
+        self.gw_rho = np.ascontiguousarray((self.gw * rho.reshape(self.n, 6)).T)
         self.gw_q = np.ascontiguousarray((self.gw * self.qg).T)
-        self.w_q = w_plain * q_at[n_edge:].reshape(tau.shape)
-        self.w_rho = w_plain * rho[n_edge:].reshape(tau.shape)
         # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
         self.atoms = [(_edge_index(edges, x_a), x_a, d_mu)
                       for x_a, d_mu in _interior_atoms(p, q)]
@@ -406,7 +441,12 @@ class _Geometry:
     # lambda-free partial tensors for the moment recovery kernels, (6, 6, n)
     @cached_property
     def m_rho0(self) -> np.ndarray:
-        return _partial_moments(self.w_rho)
+        out = np.empty((6, 6, self.n), dtype=self.gw_rho.dtype)
+        for lo in range(0, self.n, _SETUP_BLOCK):
+            cells = slice(lo, lo + _SETUP_BLOCK)
+            (w_rho,) = _sub_weights(self.gw_rho[:, cells])
+            out[:, :, cells] = _partial_moments(w_rho.reshape(6, 8, -1))
+        return out
 
     @cached_property
     def m_p0(self) -> np.ndarray:
@@ -425,12 +465,12 @@ class _Geometry:
         """The geometry of (-p, q) on the same edges, bit for bit.
 
         A density of p.scaled(-1.0) is the exact negation of p's, so the
-        view conjugates the atom weights and a complex gw_rho and w_rho,
-        leaving m_rho0 to be rebuilt, and shares every other array,
-        budget_logs included.  A real rho is its own conjugate, so the view
-        shares gw_rho, w_rho and m_rho0 too.  Conjugated complex copies
-        would hold -0 imaginary parts where the widened real arrays give
-        +0, so products with them can differ only in the sign of a zero;
+        view conjugates the atom weights and a complex gw_rho, leaving
+        m_rho0 to be rebuilt, and shares every other array, budget_logs
+        included.  A real rho is its own conjugate, so the view shares
+        gw_rho and m_rho0 too.  A conjugated complex copy would hold -0
+        imaginary parts where the widened real array gives +0, so products
+        with it can differ only in the sign of a zero;
         test_real_rho_solves_with_the_bits_of_a_complex_one checks that
         every solve keeps its bytes.  The view is built per solve and
         cached nowhere.  The view of (p + dx, q) at -lambda - 1 solves
@@ -440,9 +480,8 @@ class _Geometry:
         view.__dict__.update(self.__dict__)
         view.p = self.p.scaled(-1.0)
         view.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in self.atoms]
-        if np.iscomplexobj(self.w_rho):
+        if np.iscomplexobj(self.gw_rho):
             view.gw_rho = self.gw_rho.conjugate()
-            view.w_rho = self.w_rho.conjugate()
             view.__dict__.pop("m_rho0", None)
         return view
 
@@ -602,12 +641,16 @@ class _Engine:
 
     A setup computes per lambda only what the series reads:
     - the edge exponentials u_edge, (3, n+1), and the width phases;
-    - one zero_potential_rows call for the edges and nodes below the
-      series switch and the 48 sub-node offsets of each width;
+    - one _series_rows call for the edges and nodes below the series
+      switch and the 48 sub-node offsets of each width;
     - the cell weights cell_w, (3, 6, n): reciprocal edge exponentials and
       width phases times the geometry's gw_rho and gw_q;
     - the in-cell kernel, (6, 6, n), from y2 and y3 gathered by width
-      against the geometry's sub-node weights w_rho and w_q;
+      against the sub-node weights of rho and q.  Those are formed in
+      blocks of _SETUP_BLOCK cells, one GEMM of _SUB_FROM_GW over gw_rho
+      and gw_q side by side per block: 0.5 h W times the degree-5
+      interpolants of rho and q at the sub-nodes, exact where they are
+      polynomials of degree <= 5 on the cell (see _Geometry);
     - the atom phases.
     Everything lambda-free, the recovery tensors included, lives on the
     geometry.
@@ -633,16 +676,15 @@ class _Engine:
         # slice without a buffer
         offset = np.multiply.outer(np.multiply.outer(_PARTIAL_SPAN, iok), geo.widths)
         np.take(np.exp(offset), geo.width_of, axis=-1, out=self.phase, mode="clip")
-        # one zero_potential_rows call: the edges and nodes where the
-        # exponential sums cancel, then the in-cell offsets of every width
-        # (_n_uniform's ladder keeps |k| h <= _KH_MAX < _SERIES_SWITCH on
-        # every level, so these stay on the series branch too)
-        reach = _SERIES_SWITCH / abs(k)
-        self.near_edge = geo.edges < reach
-        self.near_node = geo.tg.T < reach
+        # one _series_rows call, all of it on zero_potential_rows' series
+        # branch: the edges and nodes where the exponential sums cancel,
+        # then the in-cell offsets of every width (_n_uniform's ladder
+        # keeps |k| h <= _KH_MAX < _SERIES_SWITCH on every level)
+        self.near_edge = abs(k) * geo.edges < _SERIES_SWITCH
+        self.near_node = abs(k) * geo.tg.T < _SERIES_SWITCH
         pts = [geo.edges[self.near_edge], geo.tg.T[self.near_node],
                np.multiply.outer(_SUB_OFFSET, geo.widths).ravel()]
-        rows = np.array(zero_potential_rows(lam_eff, np.concatenate(pts)))
+        rows = _series_rows(lam_eff, np.concatenate(pts))
         n_edge, n_node = len(pts[0]), len(pts[1])
         self.rows_edge = rows[:, :n_edge]
         self.rows_node = rows[:, n_edge:n_edge + n_node]
@@ -657,13 +699,17 @@ class _Engine:
         mixed -= np.multiply.outer(2.0 * a2, geo.gw_q)
         cell_w *= mixed
         self.cell_w = cell_w
-        y2, y3 = rows[1:, n_edge + n_node:].reshape((2,) + _SUB_OFFSET.shape + (-1,))
-        sub = np.take(y3, geo.width_of, axis=-1)
-        sub *= geo.w_rho
-        sub_q = np.take(-2.0 * y2, geo.width_of, axis=-1)
-        sub_q *= geo.w_q
-        sub += sub_q
-        _partial_moments(sub, out=self.kernel[:, :6])
+        y2, y3 = rows[1:, n_edge + n_node:].reshape(2, 48, -1)
+        y2 = -2.0 * y2
+        for lo in range(0, geo.n, _SETUP_BLOCK):
+            cells = slice(lo, lo + _SETUP_BLOCK)
+            w_rho, w_q = _sub_weights(geo.gw_rho[:, cells], geo.gw_q[:, cells])
+            sub = np.take(y3, geo.width_of[cells], axis=-1)
+            sub *= w_rho
+            sub_q = np.take(y2, geo.width_of[cells], axis=-1)
+            sub_q *= w_q
+            sub += sub_q
+            _partial_moments(sub.reshape(6, 8, -1), out=self.kernel[:, :6, cells])
         xs = np.array([a[1] for a in geo.atoms], dtype=float)
         self.atom_phase = a3[:, None] * np.exp(-np.multiply.outer(iok, xs))
 
@@ -911,7 +957,8 @@ class SolutionPath:
         out = np.empty(len(xs), dtype=complex)
         out[on_edge] = edge_vals[j[on_edge]]
         off = ~on_edge
-        out[off] = _interp(self.node[channel], self.nodes, xs[off], j[off] - 1)
+        if np.any(off):  # matrix(1.0) and other edge-only calls skip this
+            out[off] = _interp(self.node[channel], self.nodes, xs[off], j[off] - 1)
         return out
 
     def eval_y(self, x):
@@ -982,7 +1029,8 @@ def _iterate_on_level(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
     mirror solves (-p, q) at -conj(lam) on the conjugated view of ws's geometry.
     """
     lam_eff, shift_c = _effective(lam)
-    n_uni = _n_uniform(cfg, cube_root(lam_eff))
+    # refused beyond the growth ceiling before any mesh is built
+    n_uni = _n_uniform(cfg, _supported_root(lam_eff))
     geo = ws.geometry(shift_c, n_uni, level)
     if mirror:
         geo = geo.conjugated()

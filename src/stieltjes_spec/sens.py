@@ -115,7 +115,7 @@ def _rule(nodes: np.ndarray, nu: Measure, x: float):
     atoms do not carry.
     """
     inner = [b for b in nu.breakpoints() if 0.0 < b < x]
-    _, _, tg, gw = _gauss_cells(np.union1d(nodes[nodes < x], inner + [x]))
+    _, tg, gw = _gauss_cells(np.union1d(nodes[nodes < x], inner + [x]))
     tg, gw = tg.ravel(), gw.ravel()
     atoms = [a for a in nu.atoms if 0.0 < a.x <= x]
     t = np.concatenate([tg, [a.x for a in atoms]])

@@ -158,6 +158,33 @@ def test_zero_potential_rows_series_matches_mpmath(case):
                     assert abs(mpmath.mpc(g) - want) <= bound * abs(want)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_cases())
+@example((0j, [0.0, 0.3, 1.0]))
+@example((-7e5j, [0.005, 0.00563, 0.00564, 0.0112]))
+def test_series_rows_are_the_bits_of_the_series_branch(case):
+    """_series_rows is zero_potential_rows on its series branch, byte for
+    byte, and zero_potential_rows sums that branch through it: one Horner."""
+    lam, pts = case
+    pts = np.asarray(pts)
+    on_series = abs(cube_root(lam)) * pts < ivp._SERIES_SWITCH
+    want = np.array(zero_potential_rows(lam, pts))[:, on_series]
+    assert ivp._series_rows(lam, pts[on_series]).tobytes() == want.tobytes()
+    calls = []
+    series = ivp._series_rows
+
+    def spy(lam_, s):
+        calls.append(s.copy())
+        return series(lam_, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ivp, "_series_rows", spy)
+        zero_potential_rows(lam, pts)
+    assert len(calls) == int(np.any(on_series))
+    if calls:
+        assert np.array_equal(calls[0], pts[on_series])
+
+
 def test_zero_potential_matrix_lambda_zero_is_polynomial():
     m = zero_potential(0.7, 0.0).entries
     want = np.array([[1.0, 0.7, 0.245], [0.0, 1.0, 0.7], [0.0, 0.0, 1.0]])
@@ -660,6 +687,43 @@ def test_origin_point_mass_is_inert():
     assert abs(plain.y_at_one - with_atom.y_at_one) <= 1e-12 * abs(plain.y_at_one)
 
 
+def _parent_values(path, channel, xs, side):
+    """SolutionPath._values as it read before edge-only calls skipped _interp."""
+    edge_vals = path.w_pre if channel == 2 and side == "left" else path.edge[channel]
+    j = np.searchsorted(path.nodes, xs)
+    on_edge = path.nodes[j] == xs
+    out = np.empty(len(xs), dtype=complex)
+    out[on_edge] = edge_vals[j[on_edge]]
+    off = ~on_edge
+    out[off] = ivp._interp(path.node[channel], path.nodes, xs[off], j[off] - 1)
+    return out
+
+
+def test_values_at_edges_alone_skip_the_interpolation(monkeypatch):
+    """Edge-only, mixed and empty inputs keep their bytes; only the mixed
+    one interpolates."""
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    path = solve_picard(p, q, 64.0, InitialTriple(0.3, -1.0, 2.5j))
+    edges = np.concatenate([[1.0, 0.0, 0.4, 0.5], path.nodes[::37]])
+    mixed = np.concatenate([edges, [0.123, 0.4 + 1e-9, 0.777]])
+    interp = ivp._interp
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return interp(*args)
+
+    monkeypatch.setattr(ivp, "_interp", counted)
+    for xs, n_calls in ((edges, 0), (mixed, 1), (np.empty(0), 0)):
+        for channel, side in ((0, "right"), (1, "right"), (2, "right"), (2, "left")):
+            calls.clear()
+            got = path._values(channel, xs, side)
+            assert calls == [3] * n_calls
+            want = _parent_values(path, channel, xs, side)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # array evaluation, property-based
 
@@ -758,11 +822,19 @@ def _plain_weights(geo):
     return 0.5 * np.diff(geo.edges) * ivp._PARTIAL_W[:, :, None]
 
 
+def _rho_and_q(geo, pts):
+    """rho = q' + i p' and the drift q of geo's measures at the points."""
+    return (geo.q.density_many(pts) + 1j * geo.p.density_many(pts),
+            geo.q.drift_many(pts))
+
+
 def _reference_term(geo, lam_eff, vals, edge_vals):
     """One Picard term built the direct way.
 
-    exp over every sub-node, the d(q + ip) and q dt channels contracted
-    separately by einsum, and the two channels mixed only at the end.
+    rho and q taken from the measures at every node and sub-node (no
+    measure value stored on the geometry is read), exp over every
+    sub-node, the d(q + ip) and q dt channels contracted separately by
+    einsum, and the two channels mixed only at the end.
     """
     k = cube_root(lam_eff)
     iok = 1j * k * ivp._OMEGA_POW
@@ -771,11 +843,13 @@ def _reference_term(geo, lam_eff, vals, edge_vals):
     e_node = np.exp(-np.multiply.outer(iok, geo.tg))
     u_node = np.exp(np.multiply.outer(iok, geo.tg))
     u_edge = np.exp(np.multiply.outer(iok, geo.edges))
-    e_sub = np.exp(-np.multiply.outer(iok, _sub_nodes(geo)))  # (3, 6, 8, n)
-    rho_g = geo.q.density_many(geo.tg) + 1j * geo.p.density_many(geo.tg)
+    tau = _sub_nodes(geo)
+    e_sub = np.exp(-np.multiply.outer(iok, tau))  # (3, 6, 8, n)
+    w_rho, w_q = (_plain_weights(geo) * f for f in _rho_and_q(geo, tau))
+    rho_g, q_g = _rho_and_q(geo, geo.tg)
     zero = np.zeros((3, 1), dtype=complex)
     channels = []
-    for w_sub, w_cell in ((geo.w_rho, rho_g), (geo.w_q, geo.qg)):
+    for w_sub, w_cell in ((w_rho, rho_g), (w_q, q_g)):
         m = np.einsum("bsi,jbsi,bsa->jiba", w_sub, e_sub, ivp._PARTIAL_L)
         cell = np.einsum("jia,ia->ji", e_node, geo.gw * w_cell * vals)
         edge = np.concatenate([zero, np.cumsum(cell, axis=1)], axis=1)
@@ -829,11 +903,78 @@ def test_mixed_channel_term_matches_direct_construction(case):
     for got, want in ((got_node, want_node), (got_edge, want_edge)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the lambda-free moment tensors share the batched contraction
-    for m, w_sub in ((geo.m_rho0, geo.w_rho), (geo.m_p0, _plain_weights(geo))):
+    w_rho = _plain_weights(geo) * _rho_and_q(geo, _sub_nodes(geo))[0]
+    for m, w_sub in ((geo.m_rho0, w_rho), (geo.m_p0, _plain_weights(geo))):
         want = np.einsum("bsi,bsa->bai", w_sub, ivp._PARTIAL_L)
         assert np.max(np.abs(m - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
     if mesh == "many":
         assert len(geo.widths) >= 40
+
+
+@st.composite
+def _piecewise_measure(draw, degree):
+    """One to three density pieces of the given degree on a grid of 1/20,
+    coefficients in [-2, 2], and at times an atom."""
+    cuts = draw(st.lists(st.integers(0, 20), min_size=2, max_size=6, unique=True))
+    cuts = sorted(cuts)[: len(cuts) // 2 * 2]
+    mu = Measure.zero()
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        coeffs = [draw(st.floats(-2.0, 2.0)) for _ in range(degree + 1)]
+        mu = mu.plus(Measure.from_density(lo / 20.0, hi / 20.0, coeffs))
+    if draw(st.booleans()):
+        weight = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        mu = mu.plus(Measure.point(draw(st.integers(1, 20)) / 20.0, weight))
+    return mu
+
+
+@st.composite
+def sub_weight_cases(draw):
+    degree = draw(st.sampled_from((0, 1, 2, 3, 4, 8, 12)))
+    p, q = draw(_piecewise_measure(degree)), draw(_piecewise_measure(degree))
+    return p, q, degree, draw(st.sampled_from((16, 64, 256))), draw(st.sampled_from((0, 1)))
+
+
+def _size(mu):
+    """Sum of |coefficients| and |atom weights|: it bounds |mu'| and the
+    drift |mu|, the coefficients being in t - lo, from 0 to at most 1."""
+    return (sum(abs(c) for piece in mu.pieces for c in piece.coeffs)
+            + sum(abs(a.w) for a in mu.atoms))
+
+
+# the gap for densities of degree 8 and 12, by level-0 cells per unit
+# length; the measured maxima over 2,000 draws were 7.9e-10, 1.6e-13 and
+# 2.8e-16
+_HIGH_DEGREE_GAP = {16: 2e-9, 64: 4e-13, 256: 2e-15}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sub_weight_cases())
+@example((Measure.point(0.4, 0.3), Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5)),
+          0, 256, 0))
+@example((Measure.from_density(0.0, 0.05, (0.0,) * 5 + (2.0, 6e-5, 1.26, -1e-108)),
+          Measure.from_density(0.0, 0.05, (0.0,) * 11 + (1.0,)), 12, 16, 0))
+def test_sub_node_weights_from_gauss_products_match_direct_evaluation(case):
+    """_SUB_FROM_GW @ gw_rho and gw_q against 0.5 h W times rho and q
+    evaluated at the sub-nodes.
+
+    The gap is taken relative to 0.5 h W M, with M = _size(p) + _size(q)
+    a bound on |rho| and |q|.  (Relative to the largest weight the gap of a
+    high degree is not scale-free: x^8 on [0, h] errs by the same fraction
+    of its size at every h.)  Densities of degree <= 4 make rho and the
+    drift q polynomials of degree <= 5 on each cell, where the derived
+    weights are exact and the gap is rounding: 1.0e-15 at most over 2,000
+    draws.  Degrees 8 and 12 leave the interpolation error, O(h^6),
+    bounded by _HIGH_DEGREE_GAP.
+    """
+    p, q, degree, n_uni, level = case
+    geo = Workspace(p, q).geometry(0.0, n_uni, level)
+    plain = _plain_weights(geo).reshape(48, geo.n)
+    scale = plain * (_size(p) + _size(q))
+    bound = 2e-15 if degree <= 4 else _HIGH_DEGREE_GAP[n_uni]
+    derived = ivp._sub_weights(geo.gw_rho, geo.gw_q)
+    for got, f in zip(derived, _rho_and_q(geo, _sub_nodes(geo))):
+        want = plain * f.reshape(48, geo.n)
+        assert np.all(np.abs(got - want) <= bound * scale)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -895,6 +1036,17 @@ def test_zero_measures_solve_value_is_the_closed_form(monkeypatch):
     assert calls == []
     with pytest.raises(NumericalError):
         solve_value(zero, zero, 1e8, init)
+
+
+def test_beyond_the_ceiling_is_refused_before_a_mesh():
+    # |k| = 1000 > _K_CEILING: no level-0 geometry is built for the refusal
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    ws = Workspace(p, q)
+    for verify in (False, True):
+        with pytest.raises(NumericalError, match="beyond the supported ceiling"):
+            solve_value(p, q, 1e9, InitialTriple(1, 0, 0), workspace=ws, verify=verify)
+        assert ws._cache == {}
 
 
 def test_workspace_for_another_pair_is_refused():
@@ -971,9 +1123,8 @@ def test_recovery_tensors_are_built_on_first_use():
 # every array the engine and budget_logs read; the first group is shared
 # with the direct geometry, the second too when rho is real, and conjugated
 # when it is complex
-_SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "w_q",
-                  "widths", "width_of")
-_RHO_ARRAYS = ("gw_rho", "w_rho")
+_SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "widths", "width_of")
+_RHO_ARRAYS = ("gw_rho",)
 
 
 @st.composite
@@ -1027,9 +1178,8 @@ def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
     for name in _SHARED_ARRAYS + _RHO_ARRAYS + ("budget_logs", "m_rho0"):
         got, want = getattr(view, name), getattr(fresh, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    pts = np.concatenate([geo.tg.ravel(), geo.edges, _sub_nodes(geo).ravel()])
-    real = not np.any(p.density_many(pts))
-    assert geo.w_rho.dtype == (float if real else complex)
+    real = not np.any(p.density_many(geo.tg))
+    assert geo.gw_rho.dtype == (float if real else complex)
     if real:
         shared = _SHARED_ARRAYS + _RHO_ARRAYS + (("m_rho0",) if warm else ())
     else:
@@ -1045,18 +1195,18 @@ def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
 def _widened(geo, conjugate=False):
     """geo with rho stored complex, as it is for a p with a density.
 
-    gw_rho, w_rho and m_rho0 are promoted by astype(complex), with +0
-    imaginary parts.  conjugate gives the mirror view of that geometry as
-    conjugated() built it: the promoted arrays conjugated (-0 imaginary
-    parts), m_rho0 rebuilt from them, the atom weights conjugated.
+    gw_rho and m_rho0 are promoted by astype(complex), with +0 imaginary
+    parts.  conjugate gives the mirror view of that geometry as
+    conjugated() built it: gw_rho conjugated (-0 imaginary parts), m_rho0
+    rebuilt from it, the atom weights conjugated.
     """
     out = object.__new__(ivp._Geometry)
     out.__dict__.update(vars(geo))
-    out.gw_rho, out.w_rho = (a.astype(complex) for a in (geo.gw_rho, geo.w_rho))
+    out.gw_rho = geo.gw_rho.astype(complex)
     out.m_rho0 = geo.m_rho0.astype(complex)
     if conjugate:
         out.p = geo.p.scaled(-1.0)
-        out.gw_rho, out.w_rho = out.gw_rho.conjugate(), out.w_rho.conjugate()
+        out.gw_rho = out.gw_rho.conjugate()
         out.atoms = [(idx, x_a, d_mu.conjugate()) for idx, x_a, d_mu in geo.atoms]
         del out.m_rho0
     return out
@@ -1096,9 +1246,10 @@ def test_real_rho_solves_with_the_bits_of_a_complex_one(case):
         lam_eff, shift_c = ivp._effective(lam)
         n_uni = ivp._n_uniform(SolverConfig(), cube_root(lam_eff))
         geo = ws.geometry(shift_c, n_uni, level)
-        # m_rho0 built from a complex w_rho is the widened real one
-        wide = ivp._partial_moments(geo.w_rho.astype(complex))
-        assert wide.tobytes() == geo.m_rho0.astype(complex).tobytes()
+        # m_rho0 built from a complex gw_rho is the widened real one
+        wide = _widened(geo)
+        del wide.m_rho0
+        assert wide.m_rho0.tobytes() == geo.m_rho0.astype(complex).tobytes()
         want = _engine_bytes(geo, lam_eff)
         assert _engine_bytes(_widened(geo), lam_eff) == want
         p_eff = p.plus(Measure.lebesgue(shift_c)) if shift_c else p
@@ -1111,7 +1262,7 @@ def test_real_rho_solves_with_the_bits_of_a_complex_one(case):
 
 # every attribute a geometry stores before its lazy tensors are built
 _STORED = {"p", "q", "edges", "picard_budget", "tg", "gw", "n", "widths",
-           "width_of", "qg", "q_edge", "gw_rho", "gw_q", "w_q", "w_rho", "atoms"}
+           "width_of", "qg", "q_edge", "gw_rho", "gw_q", "atoms"}
 _LAZY = ("budget_logs",) + _RECOVERY_TENSORS
 
 
@@ -1130,16 +1281,16 @@ def _stored_bytes(geo, *lazy) -> int:
 @pytest.mark.parametrize("kind", ["level 0", "refined", "conjugated",
                                   "p with a density", "conjugated, p with a density"])
 def test_a_geometry_stores_only_what_engines_read(kind):
-    """On the ROADMAP pair, whose p has no density, rho is real: 1,032 bytes
-    per cell, 1,088 with budget_logs.  A density of p keeps rho complex:
-    1,464 and 1,520.  Edges, q_edge and the distinct widths add a few bytes
-    per geometry, below one per cell."""
+    """On the ROADMAP pair, whose p has no density, rho is real: 264 bytes
+    per cell, 320 with budget_logs.  A density of p keeps rho complex: 312
+    and 368.  The edges and the distinct widths add a few bytes per
+    geometry, below one per cell."""
     p = Measure.point(0.4, 0.3)
     q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
-    rho_type, per_cell = float, 1032
+    rho_type, per_cell = float, 264
     if "density" in kind:
         p = p.plus(Measure.from_density(0.1, 0.8, (0.3, -1.2)))
-        rho_type, per_cell = complex, 1464
+        rho_type, per_cell = complex, 312
     ws = Workspace(p, q)
     direct = geo = ws.geometry(0.0, 256, 1 if kind == "refined" else 0)
     if kind.startswith("conjugated"):
@@ -1147,7 +1298,7 @@ def test_a_geometry_stores_only_what_engines_read(kind):
         for name in _RHO_ARRAYS:
             assert (getattr(geo, name) is getattr(direct, name)) == (rho_type is float)
     assert set(vars(geo)) == _STORED
-    assert geo.gw_rho.dtype == geo.w_rho.dtype == rho_type
+    assert geo.gw_rho.dtype == rho_type
     assert _stored_bytes(geo) < (per_cell + 1) * geo.n
     # the lazy tensors come on top, and m_p0 keeps the bits of the plain
     # sub-node weights 0.5 h W
