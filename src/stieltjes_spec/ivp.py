@@ -504,8 +504,20 @@ class _Geometry:
         return node, edge
 
 
+# level-0 sizes (rungs of _n_uniform's ladder) whose levels a Workspace keeps
+_CACHED_RUNGS = 3
+
+
 class Workspace:
-    """Geometry cache for one coefficient pair, reusable across lambdas."""
+    """Geometry cache for one coefficient pair, reusable across lambdas.
+
+    It keeps the levels of the _CACHED_RUNGS most recently used rungs, a
+    rung being a (shift_c, n_uniform) key, and evicts the least recently
+    used rung whole when a new one is built.  The ladder has at most two
+    rungs per octave, so a scan that turns around, or a contour that
+    straddles one rung boundary, rebuilds nothing.  Every geometry is a
+    pure function of its key, so a rebuilt one has the same bits.
+    """
 
     def __init__(self, p: Measure, q: Measure, extra_breakpoints=()):
         self.p = p
@@ -515,6 +527,8 @@ class Workspace:
             if not 0.0 <= b <= 1.0:  # refuses NaN and infinities too
                 raise BadArgumentError(f"extra breakpoint {b} outside [0, 1]")
         self._cache: dict[tuple[float, int, int], _Geometry] = {}
+        # the cached rungs, least recently used first
+        self._rungs: dict[tuple[float, int], None] = {}
 
     def _base_edges(self, n_uniform: int) -> np.ndarray:
         pts = {0.0, 1.0}
@@ -535,26 +549,39 @@ class Workspace:
         Each engine run looks its geometry up here once, and nothing else
         does: _build makes one ahead of its run without a lookup.  A level
         above 0 looks its parent up first, so a build that is not made
-        ahead is seen by a lookup.
+        ahead is seen by a lookup.  A lookup makes its rung the most
+        recently used.
         """
         key = (shift_c, n_uniform, level)
         if key not in self._cache:
             if level > 0:
                 self.geometry(shift_c, n_uniform, level - 1)
             self._build(shift_c, n_uniform, level)
+        rung = (shift_c, n_uniform)
+        self._rungs[rung] = self._rungs.pop(rung)
         return self._cache[key]
 
     def _build(self, shift_c: float, n_uniform: int, level: int) -> None:
-        """Cache the geometry of a later engine run, and the levels below it."""
+        """Cache the geometry of a later engine run, and the levels below it.
+
+        A new rung first evicts the least recently used one when
+        _CACHED_RUNGS are cached.
+        """
         key = (shift_c, n_uniform, level)
         if key in self._cache:
             return
         if level > 0:
             self._build(shift_c, n_uniform, level - 1)
             self._cache[key] = self._cache[(shift_c, n_uniform, level - 1)].refined()
-        else:
-            p_eff = self.p.plus(Measure.lebesgue(shift_c)) if shift_c else self.p
-            self._cache[key] = _Geometry(p_eff, self.q, self._base_edges(n_uniform))
+            return
+        if len(self._rungs) == _CACHED_RUNGS:
+            old = next(iter(self._rungs))
+            del self._rungs[old]
+            for stale in [k for k in self._cache if k[:2] == old]:
+                del self._cache[stale]
+        p_eff = self.p.plus(Measure.lebesgue(shift_c)) if shift_c else self.p
+        self._cache[key] = _Geometry(p_eff, self.q, self._base_edges(n_uniform))
+        self._rungs[(shift_c, n_uniform)] = None
 
 
 def _workspace_for(p: Measure, q: Measure, workspace: Workspace | None) -> Workspace:
@@ -1011,8 +1038,8 @@ def _n_uniform(cfg: SolverConfig, k: complex) -> int:
     n is mesh_size times the lowest rung of the ladder 1, 2, 3, 4, 6, 8, 12,
     16, ... (2^j and 3 * 2^(j - 1)) that meets the rule; Workspace._base_edges
     keeps every cell at most 1/n wide, so |k| h <= _KH_MAX.  At most two
-    rungs fall in each octave, so a workspace swept over many lambdas caches
-    at most two level-0 sizes per doubling of |k|.
+    rungs fall in each octave, so the _CACHED_RUNGS = 3 rungs a workspace
+    keeps cover 1.5 octaves of |k|.
     """
     n = cfg.mesh_size
     while n * _KH_MAX < abs(k):
@@ -1046,6 +1073,10 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
     A target 10 * tol below float64 resolution is refused after the first
     comparison: two levels can meet it only by a chance agreement of their
     rounding errors, which certifies nothing.
+
+    One engine is alive at a time: a level that does not settle the solve
+    keeps only its edge values for the next comparison, and its engine and
+    node values are dropped before the next level's engine is set up.
     """
     # level 1, which every verified solve runs, is built before the level-0
     # engine: a mesh that cannot be refined is refused at no engine run
@@ -1070,6 +1101,7 @@ def _solve_verified(ws: Workspace, lam: complex, inits, cfg: SolverConfig,
             if gap <= 10.0 * cfg.tol:
                 return eng, results
         prev_edges = edges
+        del eng, results
     raise MeshRefinementError(
         "mesh doubling failed to stabilize the solution",
         doublings=_MAX_DOUBLINGS - 1, gap=gap,

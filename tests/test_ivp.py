@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1307,6 +1308,98 @@ def test_a_geometry_stores_only_what_engines_read(kind):
     assert _stored_bytes(geo, "budget_logs") < (per_cell + 57) * geo.n
     assert geo.m_rho0.dtype == rho_type
     assert set(vars(geo)) == _STORED | set(_LAZY)
+
+
+# ---------------------------------------------------------------------------
+# what a workspace keeps alive
+
+
+# k on five successive rungs of the default ladder: n_uniform 256 to 1536
+_RUNG_K = (20.0, 50.0, 80.0, 110.0, 150.0)
+
+
+def _rung(k: float) -> tuple[float, int]:
+    return 0.0, ivp._n_uniform(SolverConfig(), k)
+
+
+def _cached_rungs(ws) -> dict:
+    """The levels the workspace caches, by rung."""
+    rungs = {}
+    for shift_c, n_uni, level in ws._cache:
+        rungs.setdefault((shift_c, n_uni), set()).add(level)
+    return rungs
+
+
+def test_a_workspace_keeps_the_levels_of_its_last_three_rungs():
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    e1 = InitialTriple(1, 0, 0)
+    ws = Workspace(p, q)
+    assert len({_rung(k) for k in _RUNG_K}) == 5
+    for k in _RUNG_K:
+        solve_value(p, q, k ** 3, e1, workspace=ws)
+    assert ivp._CACHED_RUNGS == 3
+    assert _cached_rungs(ws) == {_rung(k): {0, 1} for k in _RUNG_K[2:]}
+    # a lookup makes its rung the most recently used: the oldest kept rung,
+    # solved again, outlives the next one when a new rung comes in
+    solve_value(p, q, _RUNG_K[2] ** 3, e1, workspace=ws, verify=False)
+    solve_value(p, q, _RUNG_K[0] ** 3, e1, workspace=ws, verify=False)
+    kept = [_rung(k) for k in (_RUNG_K[4], _RUNG_K[2], _RUNG_K[0])]
+    assert set(_cached_rungs(ws)) == set(kept)
+    assert list(ws._rungs) == kept  # least recently used first
+
+
+def _contents(geo) -> dict:
+    """Every attribute of a geometry, arrays as (dtype, shape, bytes)."""
+    return {name: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for name, v in vars(geo).items()}
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["real rho", "complex rho"])
+def test_an_evicted_rung_is_rebuilt_with_the_same_bits(density):
+    p = Measure.point(0.4, 0.3)
+    if density:
+        p = p.plus(Measure.from_density(0.1, 0.8, (0.3, -1.2)))
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    init = InitialTriple(0.3, -1.0, 2.5j)
+    lam = _RUNG_K[0] ** 3
+    ws = Workspace(p, q)
+    first = solve_picard(p, q, lam, init, workspace=ws)
+    built = dict(ws._cache)
+    for k in _RUNG_K[1:1 + ivp._CACHED_RUNGS]:
+        solve_value(p, q, k ** 3, InitialTriple(1, 0, 0), workspace=ws)
+    assert _rung(_RUNG_K[0]) not in _cached_rungs(ws)
+    again = solve_picard(p, q, lam, init, workspace=ws)
+    assert set(built) <= set(ws._cache)
+    for key, geo in built.items():
+        rebuilt = ws._cache[key]
+        assert rebuilt is not geo
+        for name in _LAZY:  # built on both, where a solve has not built them
+            getattr(geo, name)
+            getattr(rebuilt, name)
+        assert _contents(rebuilt) == _contents(geo)
+    for got, want in ((again.edge, first.edge), (again.node, first.node),
+                      (again.w_pre, first.w_pre), (again.nodes, first.nodes)):
+        assert got.tobytes() == want.tobytes()
+    assert again.n_terms == first.n_terms
+
+
+def test_a_verified_solve_drops_each_level_engine_before_the_next(monkeypatch):
+    """When an engine is set up, no engine of an earlier level is alive:
+    real_split's direct and mirror solves each run levels 0 and 1."""
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    engines, alive = [], []
+    setup = ivp._Engine.__init__
+
+    def spied(eng, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in engines))
+        engines.append(weakref.ref(eng))
+        setup(eng, *args, **kwargs)
+
+    monkeypatch.setattr(ivp._Engine, "__init__", spied)
+    real_split(p, q, 64.0, workspace=Workspace(p, q))
+    assert alive == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
