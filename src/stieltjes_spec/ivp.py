@@ -112,9 +112,10 @@ _SUB_OFFSET = 0.5 * (_G6_NODES[:, None] - _PARTIAL_ETA)
 # is 0.5 h _PARTIAL_W[b, s] g(eta[b, s]), g the degree-5 interpolant of f at
 # the nodes t_a (h cancels): exact when f is a polynomial of degree <= 5
 _SUB_FROM_GW = (_PARTIAL_L * _PARTIAL_W[:, :, None] / _G6_WEIGHTS).reshape(48, 6)
-# cells per block of the sub-node weights (engine setup and m_rho0): it
-# bounds the setup's temporaries, and keeps _sub_weights' GEMM within 1,536
-# columns
+# cells per block of the sub-node weights and cell weights (engine setup
+# and m_rho0): it bounds the setup's temporaries, and keeps _sub_weights'
+# GEMM within 1,536 columns.  A Picard term contracts max(1, 6 *
+# _SETUP_BLOCK // n) rows of the kernel at a time (_Engine.term)
 _SETUP_BLOCK = 512
 
 
@@ -366,12 +367,14 @@ def _running_budget(p: Measure, q: Measure, x):
 class _Geometry:
     """Mesh plus every lambda-free quadrature tensor for one (p, q) pair.
 
-    It stores what engines and the recovery read, and nothing else: the
-    Gauss nodes tg and weights gw, (n, 6); q at the nodes (qg) and edges
-    (q_edge); the weight products gw_rho = (gw rho)^T and gw_q = (gw q)^T,
-    (6, n), with rho the density of q + i p; the edges and the distinct
-    widths.  The measures are asked for values at the nodes and edges
-    only, 7n + 1 points.
+    It stores what engines read, and nothing else: the Gauss nodes tg,
+    (n, 6); the weight products gw_rho = (gw rho)^T and gw_q = (gw q)^T,
+    (6, n), with gw the Gauss weights, rho the density of q + i p and q
+    its drift; the edges and the distinct widths.  gw and q at the nodes
+    (qg) and edges (q_edge) are formed for those products and dropped:
+    only the recovery and spectrum's norm read them, and each is built
+    again on first use, with the same bits.  The measures are asked for
+    values at the nodes (and at the edges for q_edge) only.
 
     The measures reach the sub-nodes of the partial integrals only through
     gw_rho and gw_q: _SUB_FROM_GW maps a column gw f to 0.5 h W g(tau) at
@@ -383,7 +386,8 @@ class _Geometry:
     kernel already interpolates the solution.  Engines form these
     weights per setup; m_rho0 (against d(q + i p)) forms them once.  It and
     m_p0 (against dt) serve only the recovery of w and y' after a verified
-    solve; each is built on first use, as is budget_logs.
+    solve; each is built on first use, as are budget_logs, gw, qg and
+    q_edge.
 
     rho is float64 when the density of p is 0 at every Gauss node (p
     atomic or zero, the shifted p + dx excepted), and so are gw_rho and
@@ -400,7 +404,7 @@ class _Geometry:
         if picard_budget is None:
             picard_budget = _running_budget(p, q, 1.0)
         self.picard_budget = picard_budget
-        h, self.tg, self.gw = _gauss_cells(edges)
+        h, self.tg, gw = _gauss_cells(edges)
         if np.any(h <= 0):
             # refinement halves a cell of one ulp into a zero-width one
             x = float(edges[np.argmax(h <= 0)])
@@ -411,20 +415,34 @@ class _Geometry:
         # distinct float widths: the engine tabulates its exponentials over
         # a cell once per width and gathers them by width_of
         self.widths, self.width_of = np.unique(h, return_inverse=True)
-        # q at the Gauss nodes, then the edges; the densities at the nodes:
-        # rho = q' + i p' is real where p' vanishes at every node
+        # the densities at the Gauss nodes: rho = q' + i p' is real where p'
+        # vanishes at every node; gw and q at the nodes are dropped once
+        # multiplied in, and rebuilt by their cached properties
         nodes = self.tg.ravel()
-        q_at = q.drift_many(np.concatenate([nodes, edges]))
         p_rho, rho = p.density_many(nodes), q.density_many(nodes)
         if np.any(p_rho):
             rho = 1j * p_rho + rho
-        self.qg = q_at[:6 * self.n].reshape(self.n, 6)
-        self.q_edge = q_at[6 * self.n:]
-        self.gw_rho = np.ascontiguousarray((self.gw * rho.reshape(self.n, 6)).T)
-        self.gw_q = np.ascontiguousarray((self.gw * self.qg).T)
+        self.gw_rho = np.ascontiguousarray((gw * rho.reshape(self.n, 6)).T)
+        qg = q.drift_many(nodes).reshape(self.n, 6)
+        self.gw_q = np.ascontiguousarray((gw * qg).T)
         # (edge index, x, dq + i dp) of each atom in (0, 1], on a mesh edge
         self.atoms = [(_edge_index(edges, x_a), x_a, d_mu)
                       for x_a, d_mu in _interior_atoms(p, q)]
+
+    # the Gauss weights (n, 6) and q at the nodes (n, 6) and edges (n+1,)
+    # serve the recovery and spectrum's norm only: built on first use by
+    # __init__'s expressions, so with the bits it multiplied in
+    @cached_property
+    def gw(self) -> np.ndarray:
+        return _gauss_cells(self.edges)[2]
+
+    @cached_property
+    def qg(self) -> np.ndarray:
+        return self.q.drift_many(self.tg.ravel()).reshape(self.n, 6)
+
+    @cached_property
+    def q_edge(self) -> np.ndarray:
+        return self.q.drift_many(self.edges)
 
     @cached_property
     def budget_logs(self) -> np.ndarray:
@@ -466,10 +484,11 @@ class _Geometry:
 
         A density of p.scaled(-1.0) is the exact negation of p's, so the
         view conjugates the atom weights and a complex gw_rho, leaving
-        m_rho0 to be rebuilt, and shares every other array, budget_logs
-        included.  A real rho is its own conjugate, so the view shares
-        gw_rho and m_rho0 too.  A conjugated complex copy would hold -0
-        imaginary parts where the widened real array gives +0, so products
+        m_rho0 to be rebuilt, and shares every other array, the lazy ones
+        the geometry has built included (one it has not built the view
+        builds for itself).  A real rho is its own conjugate, so the view
+        shares gw_rho and m_rho0 too.  A conjugated complex copy would hold
+        -0 imaginary parts where the widened real array gives +0, so products
         with it can differ only in the sign of a zero;
         test_real_rho_solves_with_the_bits_of_a_complex_one checks that
         every solve keeps its bytes.  The view is built per solve and
@@ -679,8 +698,11 @@ class _Engine:
       interpolants of rho and q at the sub-nodes, exact where they are
       polynomials of degree <= 5 on the cell (see _Geometry);
     - the atom phases.
-    Everything lambda-free, the recovery tensors included, lives on the
-    geometry.
+    The phases, the cell weights and the in-cell kernel are filled in the
+    same blocks, each block's temporaries dropped before the next, so no
+    setup temporary spans more than _SETUP_BLOCK cells but the (n,) and
+    (6, n) ones of the series switch.  Everything lambda-free, the
+    recovery tensors included, lives on the geometry.
     """
 
     def __init__(self, geo: _Geometry, lam_eff: complex, cfg: SolverConfig):
@@ -697,12 +719,11 @@ class _Engine:
         # the in-cell integral, the last 3 the phases exp(i omega^j k (x_b - x_i))
         self.kernel = np.empty((6, 9, geo.n), dtype=complex)
         self.phase = self.kernel[:, 6:]
-        # node offsets from the left edge, per distinct width: (6, 3, widths);
-        # np.take keeps the gathered arrays C-ordered, cells last (fancy
-        # indexing would not), and mode="clip" lets it write into the kernel
-        # slice without a buffer
+        # node offsets from the left edge, per distinct width: (6, 3, widths),
+        # gathered by width block by block below; np.take keeps the
+        # gathered arrays C-ordered, cells last (fancy indexing would not)
         offset = np.multiply.outer(np.multiply.outer(_PARTIAL_SPAN, iok), geo.widths)
-        np.take(np.exp(offset), geo.width_of, axis=-1, out=self.phase, mode="clip")
+        e_phase = np.exp(offset)
         # one _series_rows call, all of it on zero_potential_rows' series
         # branch: the edges and nodes where the exponential sums cancel,
         # then the in-cell offsets of every width (_n_uniform's ladder
@@ -719,24 +740,36 @@ class _Engine:
         # log(w(1) / w(x)) at the left edge of each cell
         rate = float(np.max(-(k * _OMEGA_POW).imag))
         self.log_w_ratio = rate * (1.0 - geo.edges[:-1])
-        # cell weights (3, 6, n): channel j, node a, cell
-        cell_w = np.take(np.exp(-offset).transpose(1, 0, 2), geo.width_of, axis=-1)
-        cell_w *= (1.0 / self.u_edge[:, :-1])[:, None, :]
-        mixed = np.multiply.outer(a3, geo.gw_rho)
-        mixed -= np.multiply.outer(2.0 * a2, geo.gw_q)
-        cell_w *= mixed
-        self.cell_w = cell_w
+        # cell weights (3, 6, n): channel j, node a, cell; filled block by
+        # block below, every product elementwise, so the bits do not depend
+        # on the blocks
+        self.cell_w = np.empty((3, 6, geo.n), dtype=complex)
+        e_cell = np.ascontiguousarray(np.exp(-offset).transpose(1, 0, 2))
+        u_left = self.u_edge[:, :-1]
         y2, y3 = rows[1:, n_edge + n_node:].reshape(2, 48, -1)
         y2 = -2.0 * y2
         for lo in range(0, geo.n, _SETUP_BLOCK):
             cells = slice(lo, lo + _SETUP_BLOCK)
-            w_rho, w_q = _sub_weights(geo.gw_rho[:, cells], geo.gw_q[:, cells])
-            sub = np.take(y3, geo.width_of[cells], axis=-1)
+            width_of = geo.width_of[cells]
+            self.phase[:, :, cells] = np.take(e_phase, width_of, axis=-1)
+            gw_rho, gw_q = geo.gw_rho[:, cells], geo.gw_q[:, cells]
+            block = self.cell_w[:, :, cells]
+            np.multiply(np.take(e_cell, width_of, axis=-1),
+                        (1.0 / u_left[:, cells])[:, None, :], out=block)
+            mixed = np.multiply.outer(a3, gw_rho)
+            mixed -= np.multiply.outer(2.0 * a2, gw_q)
+            block *= mixed
+            w_rho, w_q = _sub_weights(gw_rho, gw_q)
+            sub = np.take(y3, width_of, axis=-1)
             sub *= w_rho
-            sub_q = np.take(y2, geo.width_of[cells], axis=-1)
+            sub_q = np.take(y2, width_of, axis=-1)
             sub_q *= w_q
             sub += sub_q
             _partial_moments(sub.reshape(6, 8, -1), out=self.kernel[:, :6, cells])
+            # the next block's temporaries replace these, not join them
+            del mixed, w_rho, w_q, sub, sub_q
+        # leading rows per chunk of term's contractions (see term)
+        self.term_rows = max(1, 6 * _SETUP_BLOCK // geo.n)
         xs = np.array([a[1] for a in geo.atoms], dtype=float)
         self.atom_phase = a3[:, None] * np.exp(-np.multiply.outer(iok, xs))
 
@@ -761,20 +794,38 @@ class _Engine:
     def term(self, vals, edge_vals):
         """The next Picard term from f at the nodes (6, n) and edges (n+1,).
 
-        Returns the term at every node (6, n) and edge (n+1,).
+        Returns the term at every node (6, n) and edge (n+1,).  Each
+        contraction runs over chunks of term_rows = max(1, 6 * _SETUP_BLOCK
+        // n) leading rows, channels of cell_w and then nodes of the
+        kernel: one chunk up to _SETUP_BLOCK cells, one row from 1,537
+        cells up, so a product temporary covers at most max(6 *
+        _SETUP_BLOCK, n) cells of a row, not the whole kernel.  numpy sums
+        the middle axis in the same sequential order whatever the leading
+        rows, so the bits are those of one contraction over every row.
+        (Chunks of cells would not keep them: the summation order of a
+        reduction depends on its strides.)
         """
-        geo = self.geo
+        geo, rows = self.geo, self.term_rows
         stacked = np.empty((9, geo.n), dtype=complex)
         stacked[:6] = vals
-        cell = np.sum(self.cell_w * vals, axis=1)
+        cell = np.empty((3, geo.n), dtype=complex)
+        for lo in range(0, 3, rows):
+            np.sum(self.cell_w[lo:lo + rows] * vals, axis=1, out=cell[lo:lo + rows])
         chan = np.zeros((3, geo.n + 1), dtype=complex)
         np.cumsum(cell, axis=1, out=chan[:, 1:])
+        del cell
         for pos, (idx, _, d_mu) in enumerate(geo.atoms):
             contrib = self.atom_phase[:, pos] * (d_mu * edge_vals[idx])
             chan[:, idx:] += contrib[:, None]
         chan *= self.u_edge
         stacked[6:] = chan[:, :-1]
-        return np.sum(self.kernel * stacked, axis=1), np.sum(chan, axis=0)
+        # cell and chan go before the node chunks, where a term peaks
+        edge = np.sum(chan, axis=0)
+        del chan
+        node = np.empty((6, geo.n), dtype=complex)
+        for lo in range(0, 6, rows):
+            np.sum(self.kernel[lo:lo + rows] * stacked, axis=1, out=node[lo:lo + rows])
+        return node, edge
 
     # an overflow is refused by type below, not announced by numpy
     @np.errstate(over="ignore", invalid="ignore")

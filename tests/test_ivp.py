@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -912,6 +913,109 @@ def test_mixed_channel_term_matches_direct_construction(case):
         assert len(geo.widths) >= 40
 
 
+def _one_shot_setup(eng):
+    """The kernel and cell weights of eng from a setup that gathers the
+    phases and forms the cell weights over every cell at once; the in-cell
+    kernel takes its blocks of _SETUP_BLOCK cells, whose sub-node GEMM
+    keeps its bits only within a block (_sub_weights)."""
+    geo = eng.geo
+    iok = 1j * eng.k * ivp._OMEGA_POW
+    offset = np.multiply.outer(np.multiply.outer(ivp._PARTIAL_SPAN, iok), geo.widths)
+    kernel = np.empty((6, 9, geo.n), dtype=complex)
+    np.take(np.exp(offset), geo.width_of, axis=-1, out=kernel[:, 6:], mode="clip")
+    cell_w = np.take(np.exp(-offset).transpose(1, 0, 2), geo.width_of, axis=-1)
+    cell_w *= (1.0 / eng.u_edge[:, :-1])[:, None, :]
+    mixed = np.multiply.outer(eng.a3, geo.gw_rho)
+    mixed -= np.multiply.outer(2.0 * eng.a2, geo.gw_q)
+    cell_w *= mixed
+    sub_rows = ivp._series_rows(eng.lam, np.multiply.outer(ivp._SUB_OFFSET, geo.widths).ravel())
+    y2, y3 = sub_rows[1:].reshape(2, 48, -1)
+    y2 = -2.0 * y2
+    for lo in range(0, geo.n, ivp._SETUP_BLOCK):
+        cells = slice(lo, lo + ivp._SETUP_BLOCK)
+        w_rho, w_q = ivp._sub_weights(geo.gw_rho[:, cells], geo.gw_q[:, cells])
+        sub = np.take(y3, geo.width_of[cells], axis=-1)
+        sub *= w_rho
+        sub_q = np.take(y2, geo.width_of[cells], axis=-1)
+        sub_q *= w_q
+        sub += sub_q
+        ivp._partial_moments(sub.reshape(6, 8, -1), out=kernel[:, :6, cells])
+    return kernel, cell_w
+
+
+def _one_shot_term(eng, kernel, cell_w, vals, edge_vals):
+    """One Picard term contracted over every row and cell at once."""
+    geo = eng.geo
+    stacked = np.empty((9, geo.n), dtype=complex)
+    stacked[:6] = vals
+    cell = np.sum(cell_w * vals, axis=1)
+    chan = np.zeros((3, geo.n + 1), dtype=complex)
+    np.cumsum(cell, axis=1, out=chan[:, 1:])
+    for pos, (idx, _, d_mu) in enumerate(geo.atoms):
+        contrib = eng.atom_phase[:, pos] * (d_mu * edge_vals[idx])
+        chan[:, idx:] += contrib[:, None]
+    chan *= eng.u_edge
+    stacked[6:] = chan[:, :-1]
+    return np.sum(kernel * stacked, axis=1), np.sum(chan, axis=0)
+
+
+# level-0 cells of the ROADMAP pair's mesh by n_uniform, and the leading
+# rows of term's chunks there
+_TERM_CHUNKS = {256: (257, 6), 512: (513, 5), 768: (769, 3), 1024: (1025, 2),
+                1536: (1537, 1), 3072: (3073, 1)}
+
+
+@pytest.mark.parametrize("n_uni", sorted(_TERM_CHUNKS))
+@pytest.mark.parametrize("kind", ["ROADMAP pair", "p with a density", "mirror view"])
+def test_blocked_setup_and_chunked_term_keep_the_one_shot_bits(kind, n_uni):
+    """The kernel, the cell weights and two Picard terms, byte for byte
+    against a setup and a contraction over every cell and row at once.
+
+    The setup fills its phases and cell weights per block of _SETUP_BLOCK
+    cells, by elementwise products; term contracts chunks of node rows,
+    which numpy sums in the order of one contraction.
+    """
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    if kind == "p with a density":
+        p = p.plus(Measure.lebesgue(0.3))
+    lam = -2e5 + 3e4j
+    geo = Workspace(p, q).geometry(0.0, n_uni, 0)
+    if kind == "mirror view":
+        geo, lam = geo.conjugated(), -lam.conjugate()
+    cells, rows = _TERM_CHUNKS[n_uni]
+    eng = ivp._Engine(geo, lam, SolverConfig())
+    assert (geo.n, min(eng.term_rows, 6)) == (cells, rows)
+    kernel, cell_w = _one_shot_setup(eng)
+    assert eng.kernel.tobytes() == kernel.tobytes()
+    assert eng.cell_w.tobytes() == cell_w.tobytes()
+    vals, edge_vals = eng.initial_rows(InitialTriple(0.3, -1.0, 2.5j))
+    for _ in range(2):
+        want = _one_shot_term(eng, kernel, cell_w, vals, edge_vals)
+        vals, edge_vals = eng.term(vals, edge_vals)
+        assert vals.tobytes() == want[0].tobytes()
+        assert edge_vals.tobytes() == want[1].tobytes()
+
+
+def test_a_term_allocates_less_than_half_a_kernel():
+    """At 3,073 cells a term contracts one node row at a time: its peak
+    allocation stays below half the kernel (a contraction over every row
+    at once allocates a product the size of the kernel)."""
+    p = Measure.point(0.4, 0.3)
+    q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
+    geo = Workspace(p, q).geometry(0.0, 3072, 0)
+    eng = ivp._Engine(geo, -1.87e6 + 0j, SolverConfig())
+    vals, edge_vals = eng.initial_rows(InitialTriple(1, 0, 0))
+    tracemalloc.start()
+    try:
+        eng.term(vals, edge_vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert geo.n == 3073
+    assert peak < eng.kernel.nbytes / 2
+
+
 @st.composite
 def _piecewise_measure(draw, degree):
     """One to three density pieces of the given degree on a grid of 1/20,
@@ -1093,10 +1197,13 @@ def test_sub_roundoff_tolerance_is_refused_even_on_exact_agreement():
 
 
 _RECOVERY_TENSORS = ("m_rho0", "m_p0")
+# the arrays only the recovery and spectrum's norm read, built on first use
+_RECOVERY_ARRAYS = ("gw", "qg", "q_edge")
 
 
 def test_recovery_tensors_are_built_on_first_use():
-    """Value-only solves leave the moment tensors unbuilt; a path builds them.
+    """Value-only solves leave the moment tensors and the recovery arrays
+    unbuilt; a path builds them.
 
     The path then equals one from a fresh workspace bit for bit.
     """
@@ -1108,11 +1215,12 @@ def test_recovery_tensors_are_built_on_first_use():
     # a finer base mesh: |k| = 31 needs 512 cells
     solve_value(p, q, -3e4 + 40.0j, init, workspace=ws, verify=False)
     assert len(ws._cache) == 3
+    lazy = set(_RECOVERY_TENSORS + _RECOVERY_ARRAYS)
     for geo in ws._cache.values():
-        assert not set(_RECOVERY_TENSORS) & set(vars(geo))
+        assert not lazy & set(vars(geo))
     path = solve_picard(p, q, 40.0, init, workspace=ws)
     (geo,) = [g for g in ws._cache.values() if g.edges is path.nodes]
-    assert set(_RECOVERY_TENSORS) <= set(vars(geo))
+    assert lazy <= set(vars(geo))
     fresh = solve_picard(p, q, 40.0, init)
     for got, want in ((path.edge, fresh.edge), (path.node, fresh.node),
                       (path.w_pre, fresh.w_pre), (path.nodes, fresh.nodes)):
@@ -1124,7 +1232,7 @@ def test_recovery_tensors_are_built_on_first_use():
 # every array the engine and budget_logs read; the first group is shared
 # with the direct geometry, the second too when rho is real, and conjugated
 # when it is complex
-_SHARED_ARRAYS = ("edges", "tg", "gw", "qg", "q_edge", "gw_q", "widths", "width_of")
+_SHARED_ARRAYS = ("edges", "tg", "gw_q", "widths", "width_of")
 _RHO_ARRAYS = ("gw_rho",)
 
 
@@ -1164,33 +1272,62 @@ def conjugation_cases(draw):
 def test_conjugated_geometry_equals_a_fresh_mirror_geometry(case):
     """_Geometry.conjugated is (-p, q) on the same edges, bit for bit.
 
-    It shares the lambda-free arrays with the direct geometry, whether that
-    one has built budget_logs and m_rho0 or not, rho among them when it is
-    real, and leaves it and its workspace as they were.
+    It shares the lambda-free arrays with the direct geometry, rho among
+    them when it is real, and the lazy ones the direct geometry has built
+    (budget_logs, m_rho0 and the recovery arrays, when warm).  A lazy array
+    the direct geometry has not built the view builds for itself, with the
+    same bytes.  It leaves the direct geometry and its workspace as they
+    were.
     """
     p, q, level, warm = case
     ws = Workspace(p, q)
     geo = ws.geometry(0.0, 16, level)
     if warm:
-        geo.budget_logs, geo.m_rho0
+        for name in ("budget_logs", "m_rho0") + _RECOVERY_ARRAYS:
+            getattr(geo, name)
     gw_rho = geo.gw_rho.copy()
     view = geo.conjugated()
     fresh = ivp._Geometry(p.scaled(-1.0), q, geo.edges)
-    for name in _SHARED_ARRAYS + _RHO_ARRAYS + ("budget_logs", "m_rho0"):
+    for name in _SHARED_ARRAYS + _RHO_ARRAYS + _RECOVERY_ARRAYS + ("budget_logs", "m_rho0"):
         got, want = getattr(view, name), getattr(fresh, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in _RECOVERY_ARRAYS:
+        assert getattr(view, name).tobytes() == getattr(fresh, name).tobytes(), name
     real = not np.any(p.density_many(geo.tg))
     assert geo.gw_rho.dtype == (float if real else complex)
+    shared = _SHARED_ARRAYS + (_RECOVERY_ARRAYS if warm else ())
     if real:
-        shared = _SHARED_ARRAYS + _RHO_ARRAYS + (("m_rho0",) if warm else ())
-    else:
-        shared = _SHARED_ARRAYS
+        shared += _RHO_ARRAYS + (("m_rho0",) if warm else ())
     for name in shared:
         assert getattr(view, name) is getattr(geo, name), name
+    if not warm:
+        assert not set(_RECOVERY_ARRAYS) & set(vars(geo))
     assert (view.n, view.picard_budget, view.atoms) == (
         fresh.n, fresh.picard_budget, fresh.atoms)
     assert np.array_equal(geo.gw_rho, gw_rho)
     assert view not in ws._cache.values() and len(ws._cache) == level + 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(conjugation_cases())
+@example((Measure.point(0.4, 0.3), Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5)),
+          1, False))
+def test_recovery_arrays_are_the_bits_of_the_eager_expressions(case):
+    """gw, qg and q_edge, built on first use, against the expressions a
+    geometry once evaluated in its constructor: the Gauss weights of
+    _gauss_cells and one drift_many call over the nodes and the edges.
+    gw_q is their product, and gw_rho keeps the bits of that gw too."""
+    p, q, level, _ = case
+    geo = Workspace(p, q).geometry(0.0, 16, level)
+    assert not set(_RECOVERY_ARRAYS) & set(vars(geo))
+    _, tg, gw = ivp._gauss_cells(geo.edges)
+    q_at = q.drift_many(np.concatenate([tg.ravel(), geo.edges]))
+    qg, q_edge = q_at[:6 * geo.n].reshape(geo.n, 6), q_at[6 * geo.n:]
+    rho = q.density_many(tg.ravel()) + 1j * p.density_many(tg.ravel())
+    for got, want in ((geo.gw, gw), (geo.qg, qg), (geo.q_edge, q_edge),
+                      (geo.gw_q, (gw * qg).T),
+                      (geo.gw_rho.astype(complex), (gw * rho.reshape(geo.n, 6)).T)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _widened(geo, conjugate=False):
@@ -1261,10 +1398,10 @@ def test_real_rho_solves_with_the_bits_of_a_complex_one(case):
         assert _engine_bytes(_widened(geo, conjugate=True), mirror) == want
 
 
-# every attribute a geometry stores before its lazy tensors are built
-_STORED = {"p", "q", "edges", "picard_budget", "tg", "gw", "n", "widths",
-           "width_of", "qg", "q_edge", "gw_rho", "gw_q", "atoms"}
-_LAZY = ("budget_logs",) + _RECOVERY_TENSORS
+# every attribute a geometry stores before its lazy arrays are built
+_STORED = {"p", "q", "edges", "picard_budget", "tg", "n", "widths",
+           "width_of", "gw_rho", "gw_q", "atoms"}
+_LAZY = ("budget_logs",) + _RECOVERY_TENSORS + _RECOVERY_ARRAYS
 
 
 def _stored_bytes(geo, *lazy) -> int:
@@ -1282,16 +1419,16 @@ def _stored_bytes(geo, *lazy) -> int:
 @pytest.mark.parametrize("kind", ["level 0", "refined", "conjugated",
                                   "p with a density", "conjugated, p with a density"])
 def test_a_geometry_stores_only_what_engines_read(kind):
-    """On the ROADMAP pair, whose p has no density, rho is real: 264 bytes
-    per cell, 320 with budget_logs.  A density of p keeps rho complex: 312
-    and 368.  The edges and the distinct widths add a few bytes per
+    """On the ROADMAP pair, whose p has no density, rho is real: 160 bytes
+    per cell, 216 with budget_logs.  A density of p keeps rho complex: 208
+    and 264.  The edges and the distinct widths add a few bytes per
     geometry, below one per cell."""
     p = Measure.point(0.4, 0.3)
     q = Measure.point(0.5, 0.7).plus(Measure.lebesgue(0.5))
-    rho_type, per_cell = float, 264
+    rho_type, per_cell = float, 160
     if "density" in kind:
         p = p.plus(Measure.from_density(0.1, 0.8, (0.3, -1.2)))
-        rho_type, per_cell = complex, 312
+        rho_type, per_cell = complex, 208
     ws = Workspace(p, q)
     direct = geo = ws.geometry(0.0, 256, 1 if kind == "refined" else 0)
     if kind.startswith("conjugated"):
@@ -1307,6 +1444,8 @@ def test_a_geometry_stores_only_what_engines_read(kind):
     geo.budget_logs
     assert _stored_bytes(geo, "budget_logs") < (per_cell + 57) * geo.n
     assert geo.m_rho0.dtype == rho_type
+    for name in _RECOVERY_ARRAYS:
+        getattr(geo, name)
     assert set(vars(geo)) == _STORED | set(_LAZY)
 
 
